@@ -2,7 +2,8 @@
 //
 // The golden file tests/golden/comparison_results.txt was generated from the
 // pre-redesign ProtocolKind-switch harness (DRS + RIP over six fixed failure
-// scenarios at the comparison test's n=8 configuration). The redesigned
+// scenarios at the comparison test's n=8 configuration); the OSPF-lite and
+// static rows were added from the same harness before either moved. The redesigned
 // registry-backed harness must reproduce those results byte-identically —
 // both through the new string-keyed policy path and through the deprecated
 // ProtocolKind shim.
@@ -104,6 +105,9 @@ ScenarioConfig base_config(ProtocolKind kind) {
   config.drs.discover_timeout = 25_ms;
   config.rip.advertise_interval = 1_s;
   config.rip.route_timeout = 6_s;
+  config.ospf.hello_interval = 500_ms;
+  config.ospf.dead_interval = 2_s;
+  config.ospf.lsa_refresh = 1500_ms;
   config.warmup = 3_s;
   config.measure = 12_s;
   return config;
@@ -111,7 +115,8 @@ ScenarioConfig base_config(ProtocolKind kind) {
 
 std::string run_corpus_via_enum() {
   std::ostringstream out;
-  for (const ProtocolKind kind : {ProtocolKind::kDrs, ProtocolKind::kRip}) {
+  for (const ProtocolKind kind : {ProtocolKind::kDrs, ProtocolKind::kRip,
+                                  ProtocolKind::kOspf, ProtocolKind::kStatic}) {
     for (const NamedScenario& scenario : corpus()) {
       const ScenarioResult result =
           run_failure_scenario(base_config(kind), scenario.failed);
@@ -142,6 +147,9 @@ ScenarioConfig registry_config(const char* policy) {
   config.params.drs.discover_timeout = 25_ms;
   config.params.rip.advertise_interval = 1_s;
   config.params.rip.route_timeout = 6_s;
+  config.params.ospf.hello_interval = 500_ms;
+  config.params.ospf.dead_interval = 2_s;
+  config.params.ospf.lsa_refresh = 1500_ms;
   config.warmup = 3_s;
   config.measure = 12_s;
   return config;
@@ -149,7 +157,7 @@ ScenarioConfig registry_config(const char* policy) {
 
 std::string run_corpus_via_registry() {
   std::ostringstream out;
-  for (const char* policy : {"drs", "rip"}) {
+  for (const char* policy : {"drs", "rip", "ospf", "static"}) {
     for (const NamedScenario& scenario : corpus()) {
       const ScenarioResult result =
           run_failure_scenario(registry_config(policy), scenario.failed);
