@@ -14,8 +14,8 @@
 #include "core/system.hpp"
 #include "cost/cost_model.hpp"
 #include "net/failure.hpp"
+#include "policy/comparison.hpp"
 #include "proto/tcp_lite.hpp"
-#include "reactive/comparison.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -29,14 +29,14 @@ void print_probe_interval_sweep() {
   util::Table table({"probe interval", "app outage", "probes lost",
                      "monitoring bandwidth (N=12)"});
   for (auto interval : {25_ms, 50_ms, 100_ms, 200_ms, 500_ms, 1000_ms}) {
-    reactive::ScenarioConfig config;
+    policy::ScenarioConfig config;
     config.node_count = 12;
     config.policy = "drs";
     config.params.drs.probe_interval = interval;
     config.params.drs.probe_timeout = std::min(interval / 2, 100_ms);
     config.warmup = interval * 4 + 1_s;
     config.measure = interval * 6 + 2_s;
-    const auto result = reactive::run_failure_scenario(
+    const auto result = policy::run_failure_scenario(
         config, {net::ClusterNetwork::nic_component(1, 0)});
     table.add_row({util::to_string(interval),
                    result.recovered
@@ -54,7 +54,7 @@ void print_adaptive_timeout() {
   std::printf("=== Adaptive (RTT-derived) probe timeout vs fixed ===\n");
   util::Table table({"mode", "probe timeout in force", "app outage"});
   for (bool adaptive : {false, true}) {
-    reactive::ScenarioConfig config;
+    policy::ScenarioConfig config;
     config.node_count = 12;
     config.policy = "drs";
     config.params.drs.probe_interval = 100_ms;
@@ -63,7 +63,7 @@ void print_adaptive_timeout() {
     config.params.drs.min_probe_timeout = 2_ms;
     config.warmup = 2_s;
     config.measure = 3_s;
-    const auto result = reactive::run_failure_scenario(
+    const auto result = policy::run_failure_scenario(
         config, {net::ClusterNetwork::nic_component(1, 0)});
     table.add_row({adaptive ? "adaptive" : "fixed",
                    adaptive ? "~2 ms (floor; LAN rtt is tens of us)" : "80 ms",

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "cluster/scenario.hpp"
-#include "reactive/comparison.hpp"
+#include "policy/comparison.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -19,10 +19,10 @@ namespace {
 using namespace drs;
 using namespace drs::util::literals;
 
-reactive::ScenarioConfig base_config(const std::string& policy) {
-  reactive::ScenarioConfig config;
+policy::ScenarioConfig base_config(const std::string& name) {
+  policy::ScenarioConfig config;
   config.node_count = 12;  // the deployed clusters were 8-12 servers
-  config.policy = policy;
+  config.policy = name;
   config.params.drs.probe_interval = 100_ms;
   config.params.drs.probe_timeout = 40_ms;
   // Classic RIP/OSPF constants scaled (1:30 and 1:20) so one bench run stays
@@ -57,7 +57,7 @@ std::vector<NamedScenario> scenarios() {
   };
 }
 
-std::string outage_str(const reactive::ScenarioResult& result) {
+std::string outage_str(const policy::ScenarioResult& result) {
   if (!result.recovered) return "never";
   return util::format_double(result.app_outage.to_seconds(), 3) + " s";
 }
@@ -68,12 +68,12 @@ void print_outage_comparison() {
                      "drs msgs", "ospf msgs", "rip msgs"});
   for (const auto& scenario : scenarios()) {
     const auto drs_result =
-        reactive::run_failure_scenario(base_config("drs"), scenario.failures);
+        policy::run_failure_scenario(base_config("drs"), scenario.failures);
     const auto ospf_result =
-        reactive::run_failure_scenario(base_config("ospf"), scenario.failures);
+        policy::run_failure_scenario(base_config("ospf"), scenario.failures);
     const auto rip_result =
-        reactive::run_failure_scenario(base_config("rip"), scenario.failures);
-    const auto static_result = reactive::run_failure_scenario(
+        policy::run_failure_scenario(base_config("rip"), scenario.failures);
+    const auto static_result = policy::run_failure_scenario(
         base_config("static"), scenario.failures);
     table.add_row({scenario.name, outage_str(drs_result), outage_str(ospf_result),
                    outage_str(rip_result), outage_str(static_result),
@@ -128,7 +128,7 @@ void BM_DrsScenario(benchmark::State& state) {
   config.warmup = 1_s;
   config.measure = 2_s;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reactive::run_failure_scenario(
+    benchmark::DoNotOptimize(policy::run_failure_scenario(
         config, {net::ClusterNetwork::nic_component(1, 0)}));
   }
 }

@@ -6,8 +6,8 @@
 //   probe storm a full DRS cluster (N daemons full-mesh probing on two
 //               networks) run for a fixed simulated span — the N=90 shape is
 //               the paper's proactive-cost anchor and a tracked CI number;
-//               N=1024 (at a reduced span) stresses the batched sweep far
-//               past the deployed scale
+//               N=254, the largest cluster the addressing plan holds,
+//               stresses the batched sweep far past the deployed scale
 //   fleet       the paper's whole deployment — 27 clusters of 8 plus the
 //               inter-cluster relay mesh — on one simulator, then the same
 //               shape on the sharded engine at 1/2/4/8 shards in both
@@ -411,11 +411,8 @@ int main(int argc, char** argv) {
   util::Table table({"nodes", "sim events", "wall ms", "events/s"});
   for (const std::uint16_t nodes :
        {std::uint16_t{8}, std::uint16_t{32}, std::uint16_t{90},
-        std::uint16_t{256}, std::uint16_t{1024}}) {
-    // N=1024 probes ~2M links per cycle; one-and-a-bit cycles is plenty of
-    // signal without dominating the whole benchmark's wall clock.
-    storms.push_back(
-        run_probe_storm(nodes, nodes >= 1024 ? span / 8 : span));
+        net::ClusterNetwork::kMaxNodes}) {
+    storms.push_back(run_probe_storm(nodes, span));
     const StormNumbers& storm = storms.back();
     char wall[32], rate[32];
     std::snprintf(wall, sizeof wall, "%.1f", storm.wall_seconds * 1e3);

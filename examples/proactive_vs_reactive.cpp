@@ -3,6 +3,7 @@
 //
 //   $ ./proactive_vs_reactive [--nodes 12] [--scenario nic|backplane|cross]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "drs.hpp"
@@ -38,18 +39,24 @@ int main(int argc, char** argv) {
 
   util::Table table({"protocol", "healthy before", "recovered", "app outage",
                      "probes lost", "protocol msgs"});
-  for (const char* policy : {"drs", "rip", "static"}) {
-    reactive::ScenarioConfig config;
+  for (const char* name : {"drs", "rip", "static"}) {
+    policy::ScenarioConfig config;
     config.node_count = nodes;
-    config.policy = policy;
+    config.policy = name;
     config.params.rip.advertise_interval =
         util::Duration::millis(flags->get_int("rip-advert-ms", 1000));
     config.params.rip.route_timeout =
         util::Duration::millis(flags->get_int("rip-timeout-ms", 6000));
     config.warmup = 3_s;
     config.measure = config.params.rip.route_timeout * 3;
-    const auto result = reactive::run_failure_scenario(config, failures);
-    table.add_row({policy,
+    policy::ScenarioResult result;
+    try {
+      result = policy::run_failure_scenario(config, failures);
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "%s\n", error.what());
+      return 1;
+    }
+    table.add_row({name,
                    result.healthy_before ? "yes" : "no",
                    result.recovered ? "yes" : "no",
                    result.recovered ? util::to_string(result.app_outage)

@@ -2,32 +2,33 @@
 
 #include <stdexcept>
 
-#include "policy/adapters.hpp"
+#include "policy/drs.hpp"
 #include "proto/icmp.hpp"
 
 namespace drs::core {
 
+DrsDeployment::DrsDeployment(std::unique_ptr<sim::Simulator> simulator,
+                             std::unique_ptr<net::ClusterNetwork> network,
+                             std::unique_ptr<policy::RoutingPolicy> routing_policy)
+    : simulator_(std::move(simulator)),
+      network_(std::move(network)),
+      policy_(std::move(routing_policy)) {
+  if (auto* drs = dynamic_cast<policy::DrsPolicy*>(policy_.get())) {
+    system_view_ = &drs->system();
+  }
+}
+
 DrsSystem& DrsDeployment::system() {
   if (system_view_ == nullptr) {
-    throw std::logic_error(
-        "DrsDeployment::system(): deployment runs policy '" +
-        std::string(policy_ ? policy_->name() : "?") +
-        "' with no DrsSystem — use policy() instead");
+    throw std::logic_error("DrsDeployment::system(): deployment runs policy '" +
+                           std::string(policy_->name()) +
+                           "' with no DrsSystem — use policy() instead");
   }
   return *system_view_;
 }
 
 const DrsSystem& DrsDeployment::system() const {
   return const_cast<DrsDeployment*>(this)->system();
-}
-
-policy::RoutingPolicy& DrsDeployment::policy() {
-  if (policy_ == nullptr) {
-    throw std::logic_error(
-        "DrsDeployment::policy(): deployment was built without "
-        "with_policy() — use system() for the direct-DRS path");
-  }
-  return *policy_;
 }
 
 void DrsDeployment::settle(util::Duration warmup) {
@@ -121,31 +122,16 @@ DrsDeployment DrsSystemBuilder::build() const {
       *simulator,
       net::ClusterNetwork::Config{.node_count = node_count_,
                                   .backplane = backplane_});
-  if (policy_name_.empty()) {
-    // Classic direct-DRS path, byte-identical to the pre-registry builder.
-    // DrsSystem's constructor runs DrsConfig::validate and throws on
-    // inconsistent knobs; pre-seeded failures land before the daemons start
-    // so their very first probe cycle sees the degraded hardware.
-    auto system = std::make_unique<DrsSystem>(*network, params_.drs);
-    for (const net::ComponentIndex component : pre_failed_) {
-      network->set_component_failed(component, true);
-    }
-    if (auto_start_) system->start();
-    return DrsDeployment(std::move(simulator), std::move(network),
-                         std::move(system));
-  }
+  // Pre-seeded failures land after construction but before start(), so the
+  // policy's first cycle sees the degraded hardware.
   std::unique_ptr<policy::RoutingPolicy> routing_policy =
       policy::make_policy(policy_name_, *network, params_);
   for (const net::ComponentIndex component : pre_failed_) {
     network->set_component_failed(component, true);
   }
   if (auto_start_) routing_policy->start();
-  // Policies start() against the live (possibly pre-degraded) state; the
-  // DRS adapter still exposes its DrsSystem for system()-based callers.
-  auto* drs_adapter = dynamic_cast<policy::DrsPolicy*>(routing_policy.get());
-  DrsSystem* system_view = drs_adapter ? &drs_adapter->system() : nullptr;
   return DrsDeployment(std::move(simulator), std::move(network),
-                       std::move(routing_policy), system_view);
+                       std::move(routing_policy));
 }
 
 }  // namespace drs::core

@@ -1,5 +1,5 @@
 // Fluent construction of a complete DRS deployment — or, via with_policy(),
-// a deployment running any registered routing policy.
+// a deployment running any other registered routing policy.
 //
 // DrsSystem deliberately takes an externally-owned ClusterNetwork, which is
 // the right shape for the simulator-driving tests but makes the common case
@@ -22,10 +22,10 @@
 //                  .build();
 //   alt.policy().control_messages();
 //
-// build() validates the configuration (DrsConfig::validate, or the selected
-// policy's parameter struct) and throws std::invalid_argument with a
-// descriptive message on inconsistent knobs — unknown policy names list the
-// registered names.
+// build() constructs every policy, DRS included, through policy::make_policy,
+// which validates the selected policy's parameter struct and throws
+// std::invalid_argument with a descriptive message on inconsistent knobs —
+// unknown policy names list the registered names.
 #pragma once
 
 #include <memory>
@@ -38,27 +38,14 @@
 
 namespace drs::core {
 
-/// Owns an entire simulated cluster: simulator, network, and either the DRS
-/// daemons directly (legacy path) or any registered RoutingPolicy.
+/// Owns an entire simulated cluster: simulator, network, and the one
+/// RoutingPolicy running on it (DRS unless with_policy() chose another).
 /// Move-only; destroying it tears the stack down in reverse order.
 class DrsDeployment {
  public:
   DrsDeployment(std::unique_ptr<sim::Simulator> simulator,
                 std::unique_ptr<net::ClusterNetwork> network,
-                std::unique_ptr<DrsSystem> system)
-      : simulator_(std::move(simulator)),
-        network_(std::move(network)),
-        system_(std::move(system)),
-        system_view_(system_.get()) {}
-
-  DrsDeployment(std::unique_ptr<sim::Simulator> simulator,
-                std::unique_ptr<net::ClusterNetwork> network,
-                std::unique_ptr<policy::RoutingPolicy> routing_policy,
-                DrsSystem* system_view)
-      : simulator_(std::move(simulator)),
-        network_(std::move(network)),
-        policy_(std::move(routing_policy)),
-        system_view_(system_view) {}
+                std::unique_ptr<policy::RoutingPolicy> routing_policy);
 
   sim::Simulator& simulator() { return *simulator_; }
   net::ClusterNetwork& network() { return *network_; }
@@ -69,9 +56,7 @@ class DrsDeployment {
   const DrsSystem& system() const;
   bool has_system() const { return system_view_ != nullptr; }
 
-  /// The routing policy, when built through with_policy().
-  policy::RoutingPolicy& policy();
-  bool has_policy() const { return policy_ != nullptr; }
+  policy::RoutingPolicy& policy() { return *policy_; }
 
   /// Pass-throughs for the calls every example makes; both work for any
   /// policy (DRS delegates to DrsSystem, others run the generic probe).
@@ -81,9 +66,8 @@ class DrsDeployment {
  private:
   std::unique_ptr<sim::Simulator> simulator_;
   std::unique_ptr<net::ClusterNetwork> network_;
-  std::unique_ptr<DrsSystem> system_;              // legacy direct-DRS path
-  std::unique_ptr<policy::RoutingPolicy> policy_;  // with_policy() path
-  DrsSystem* system_view_ = nullptr;  // non-null when a DrsSystem exists
+  std::unique_ptr<policy::RoutingPolicy> policy_;
+  DrsSystem* system_view_ = nullptr;  // non-null when the policy is DRS
 };
 
 class DrsSystemBuilder {
@@ -103,12 +87,11 @@ class DrsSystemBuilder {
   DrsSystemBuilder& warm_standby(bool on);
   DrsSystemBuilder& adaptive_timeout(bool on);
 
-  /// Selects a registered routing policy by name ("drs", "rip", "ospf",
-  /// "static", "static_resilient", "alternate_path", ...). Replaces the
-  /// whole parameter set (like config()), so call it before individual
-  /// knob overrides — the DRS knob setters above keep working by editing
-  /// params.drs. Empty name (the default) builds the classic direct-DRS
-  /// deployment.
+  /// Selects a registered routing policy by name ("drs", the default,
+  /// "rip", "ospf", "static", "static_resilient", "alternate_path", ...).
+  /// Replaces the whole parameter set (like config()), so call it before
+  /// individual knob overrides — the DRS knob setters above keep working by
+  /// editing params.drs.
   DrsSystemBuilder& with_policy(std::string name,
                                 policy::PolicyParams params = {});
 
@@ -122,14 +105,14 @@ class DrsSystemBuilder {
   /// Whether build() also starts the daemons (default true).
   DrsSystemBuilder& auto_start(bool on);
 
-  /// Assembles the deployment. Throws std::invalid_argument when the
-  /// configuration fails validation (DrsConfig::validate, the selected
-  /// policy's parameter validate, or an unknown policy name).
+  /// Assembles the deployment through policy::make_policy. Throws
+  /// std::invalid_argument when the configuration fails validation (the
+  /// selected policy's parameter validate, or an unknown policy name).
   [[nodiscard]] DrsDeployment build() const;
 
  private:
   std::uint16_t node_count_ = 8;
-  std::string policy_name_;  // empty = classic direct-DRS deployment
+  std::string policy_name_ = "drs";
   policy::PolicyParams params_;
   net::Backplane::Config backplane_;
   std::vector<net::ComponentIndex> pre_failed_;

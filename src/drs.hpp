@@ -6,7 +6,8 @@
 //
 // and gets the full stack: the deterministic simulator, the packet-level
 // cluster network, the DRS daemons (with core::DrsSystemBuilder as the
-// friendly front door), the reactive baselines, the analytic and Monte-Carlo
+// friendly front door), the routing-policy module with its reactive
+// baselines and comparison harness, the analytic and Monte-Carlo
 // survivability models, the Fig. 1 cost model, the cluster workloads, the
 // chaos harness, and the declarative experiment engine.
 //
@@ -62,16 +63,14 @@
 #include "core/metrics.hpp"
 #include "core/system.hpp"
 
-// The pluggable routing-policy layer: the RoutingPolicy interface, the
-// name-keyed registry, the precomputed static-resilient / alternate-path
-// baselines, and the all-policies shootout.
+// The routing-policy layer: the RoutingPolicy interface, the name-keyed
+// registry with every policy (DRS, the RIP-lite and OSPF-lite reactive
+// baselines, static, and the precomputed static-resilient / alternate-path
+// schemes), the comparison harness and the all-policies shootout.
+#include "policy/comparison.hpp"
 #include "policy/policy.hpp"
 #include "policy/registry.hpp"
 #include "policy/shootout.hpp"
-
-// Reactive baselines for comparison (ProtocolKind here is a deprecated shim
-// over the registry; see docs/POLICIES.md).
-#include "reactive/comparison.hpp"
 
 // Survivability models: exact (Equation 1), Monte-Carlo, packet-level.
 #include "analytic/availability.hpp"

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace drs::net {
 
@@ -23,7 +25,12 @@ std::string ComponentRef::to_string() const {
 
 ClusterNetwork::ClusterNetwork(sim::Simulator& sim, Config config)
     : sim_(sim), config_(config) {
-  assert(config_.node_count >= 2);
+  if (config_.node_count < kMinNodes || config_.node_count > kMaxNodes) {
+    throw std::invalid_argument(
+        "ClusterNetwork: node_count = " + std::to_string(config_.node_count) +
+        " is outside [" + std::to_string(kMinNodes) + ", " +
+        std::to_string(kMaxNodes) + "]");
+  }
 
   for (NetworkId k = 0; k < kNetworksPerHost; ++k) {
     backplanes_.push_back(std::make_unique<Backplane>(sim_, k, config_.backplane));

@@ -69,6 +69,13 @@ class ClusterNetwork : public FailureDomain {
     Backplane::Config backplane;
   };
 
+  /// Cluster sizes the addressing plan holds: node i is host 10.k.0.(i+1),
+  /// so node 254 would take the subnet broadcast address.
+  static constexpr std::uint16_t kMinNodes = 2;
+  static constexpr std::uint16_t kMaxNodes = 254;
+
+  /// Throws std::invalid_argument when node_count is outside
+  /// [kMinNodes, kMaxNodes].
   ClusterNetwork(sim::Simulator& sim, Config config);
 
   sim::Simulator& simulator() override { return sim_; }

@@ -1,40 +1,12 @@
-#include "reactive/comparison.hpp"
+#include "policy/comparison.hpp"
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "sim/timer.hpp"
 
-namespace drs::reactive {
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-const char* to_string(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kDrs: return "drs";
-    case ProtocolKind::kRip: return "rip";
-    case ProtocolKind::kOspf: return "ospf";
-    case ProtocolKind::kStatic: return "static";
-  }
-  return "?";
-}
-
-namespace {
-
-/// Resolves the enum shim: the effective (name, params) pair the registry
-/// path runs with. When the deprecated enum is set, the deprecated flat
-/// parameter members win — the pre-redesign field layout.
-std::pair<std::string, policy::PolicyParams> effective_policy(
-    const ScenarioConfig& config) {
-  if (!config.protocol.has_value()) return {config.policy, config.params};
-  policy::PolicyParams params = config.params;
-  params.drs = config.drs;
-  params.rip = config.rip;
-  params.ospf = config.ospf;
-  return {to_string(*config.protocol), params};
-}
-
-}  // namespace
-#pragma GCC diagnostic pop
+namespace drs::policy {
 
 namespace {
 
@@ -60,18 +32,46 @@ std::uint32_t route_hops(net::ClusterNetwork& network, net::NodeId src,
   return 0;
 }
 
+/// The harness's own preconditions, checked before anything is built so a
+/// bad observer or component index fails with the field it came from.
+void validate_inputs(const ScenarioConfig& config,
+                     const std::vector<net::ComponentIndex>& failed_components) {
+  const std::uint32_t n = config.node_count;
+  const auto reject = [n](const char* field, std::uint32_t value,
+                          const std::string& why) {
+    throw std::invalid_argument("run_failure_scenario: " + std::string(field) +
+                                " = " + std::to_string(value) + " " + why +
+                                " (node_count = " + std::to_string(n) + ")");
+  };
+  if (config.observer_src >= n) {
+    reject("observer_src", config.observer_src, "is not a node");
+  }
+  if (config.observer_dst >= n) {
+    reject("observer_dst", config.observer_dst, "is not a node");
+  }
+  if (config.observer_src == config.observer_dst) {
+    reject("observer_dst", config.observer_dst, "equals observer_src");
+  }
+  for (const net::ComponentIndex component : failed_components) {
+    if (component >= 2 * n + 2) {
+      reject("failed_components", component,
+             "is not a component (2N NICs + 2 backplanes)");
+    }
+  }
+}
+
 }  // namespace
 
 ScenarioResult run_failure_scenario(
     const ScenarioConfig& config,
     const std::vector<net::ComponentIndex>& failed_components) {
+  validate_inputs(config, failed_components);
   sim::Simulator simulator;
   net::ClusterNetwork network(
       simulator, {.node_count = config.node_count, .backplane = config.backplane});
 
-  const auto [policy_name, params] = effective_policy(config);
-  const std::unique_ptr<policy::RoutingPolicy> routing_policy =
-      policy::make_policy(policy_name, network, params);
+  const std::unique_ptr<RoutingPolicy> routing_policy =
+      make_policy(config.policy, network, config.params);
   routing_policy->start();
   proto::IcmpService* observer_icmp =
       &routing_policy->icmp(config.observer_src);
@@ -167,4 +167,4 @@ ScenarioResult run_failure_scenario(
   return result;
 }
 
-}  // namespace drs::reactive
+}  // namespace drs::policy

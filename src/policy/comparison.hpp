@@ -7,11 +7,6 @@
 // bench_proactive_vs_reactive, the policy shootout and the paper's central
 // qualitative claim ("fixing network problems before they effect
 // application communication").
-//
-// The pre-registry ProtocolKind enum survives one release as a deprecated
-// shim: setting ScenarioConfig::protocol overrides the string `policy`
-// field, and test_policy_differential pins that both paths reproduce the
-// pre-redesign results byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -23,29 +18,14 @@
 #include "policy/registry.hpp"
 #include "util/time.hpp"
 
-namespace drs::reactive {
-
-enum class [[deprecated(
-    "use the string-keyed policy registry (policy/registry.hpp) — e.g. "
-    "ScenarioConfig::policy = \"drs\"")]] ProtocolKind : std::uint8_t {
-  kDrs,
-  kRip,
-  kOspf,
-  kStatic
-};
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-[[deprecated("use the registry name directly")]] const char* to_string(
-    ProtocolKind kind);
-#pragma GCC diagnostic pop
+namespace drs::policy {
 
 struct ScenarioConfig {
   std::uint16_t node_count = 12;
-  /// Registered policy name (policy::policy_names() lists them).
+  /// Registered policy name (policy_names() lists them).
   std::string policy = "drs";
   /// Per-policy parameter structs; the chosen policy reads only its own.
-  policy::PolicyParams params;
+  PolicyParams params;
   net::Backplane::Config backplane;
 
   /// Observer probe stream (application stand-in).
@@ -66,31 +46,6 @@ struct ScenarioConfig {
   /// require an untouched schedule).
   bool track_detection = false;
   util::Duration detection_sample = util::Duration::millis(1);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  /// One-release shim for the pre-registry enum API: when set, the enum
-  /// selects the policy and the deprecated per-protocol members below
-  /// (not `params`) supply its parameters — exactly the old field layout,
-  /// so pre-redesign callers behave identically. New code sets `policy`
-  /// and `params` instead.
-  [[deprecated("set ScenarioConfig::policy by name instead")]]
-  std::optional<ProtocolKind> protocol;
-  [[deprecated("use params.drs")]] core::DrsConfig drs;
-  [[deprecated("use params.rip")]] RipConfig rip;
-  [[deprecated("use params.ospf")]] OspfConfig ospf;
-
-  // Explicitly-defaulted special members, declared inside the suppression
-  // region: otherwise every construction/copy/destruction of ScenarioConfig
-  // would re-trigger the member deprecations through the synthesized
-  // functions. Only direct member access should warn.
-  ScenarioConfig() = default;
-  ScenarioConfig(const ScenarioConfig&) = default;
-  ScenarioConfig(ScenarioConfig&&) = default;
-  ScenarioConfig& operator=(const ScenarioConfig&) = default;
-  ScenarioConfig& operator=(ScenarioConfig&&) = default;
-  ~ScenarioConfig() = default;
-#pragma GCC diagnostic pop
 };
 
 struct ScenarioResult {
@@ -119,9 +74,12 @@ struct ScenarioResult {
 
 /// Injects `failed_components` simultaneously after warmup and measures the
 /// observer pair's outage under the configured policy. Throws
-/// std::invalid_argument for unknown policy names or invalid parameters.
+/// std::invalid_argument, before simulating anything, for unknown policy
+/// names or invalid parameters: a cluster size outside [2, 254], an observer
+/// that is not a node or observes itself, or a failed component that is not
+/// one of the cluster's 2N+2.
 [[nodiscard]] ScenarioResult run_failure_scenario(
     const ScenarioConfig& config,
     const std::vector<net::ComponentIndex>& failed_components);
 
-}  // namespace drs::reactive
+}  // namespace drs::policy

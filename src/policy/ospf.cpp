@@ -1,11 +1,13 @@
-#include "reactive/ospf_lite.hpp"
+#include "policy/ospf.hpp"
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/log.hpp"
 
-namespace drs::reactive {
+namespace drs::policy {
 
 std::string OspfHello::describe() const {
   std::ostringstream out;
@@ -31,6 +33,12 @@ OspfDaemon::OspfDaemon(net::Host& host, std::uint16_t node_count, OspfConfig con
                    }),
       refresh_timer_(host.simulator(), config.lsa_refresh,
                      [this] { originate_lsa(); }) {
+  if (node_count > kOspfMaxNodes) {
+    throw std::invalid_argument(
+        "ospf: OSPF-lite supports at most " + std::to_string(kOspfMaxNodes) +
+        " nodes (adjacencies are 64-bit masks), got " +
+        std::to_string(node_count));
+  }
   host_.register_handler(net::Protocol::kOspf,
                          [this](const net::Packet& p, net::NetworkId in_if) {
                            on_packet(p, in_if);
@@ -216,19 +224,29 @@ void OspfDaemon::recompute_routes() {
   for (const auto& [value, route] : desired) table.install(route);
 }
 
-OspfSystem::OspfSystem(net::ClusterNetwork& network, OspfConfig config) {
+OspfPolicy::OspfPolicy(net::ClusterNetwork& network, const OspfConfig& config) {
   for (net::NodeId i = 0; i < network.node_count(); ++i) {
     daemons_.push_back(std::make_unique<OspfDaemon>(network.host(i),
                                                     network.node_count(), config));
+    icmp_.push_back(std::make_unique<proto::IcmpService>(network.host(i)));
   }
 }
 
-void OspfSystem::start() {
+void OspfPolicy::start() {
   for (auto& daemon : daemons_) daemon->start();
 }
 
-void OspfSystem::stop() {
+void OspfPolicy::stop() {
   for (auto& daemon : daemons_) daemon->stop();
 }
 
-}  // namespace drs::reactive
+std::uint64_t OspfPolicy::control_messages() const {
+  std::uint64_t total = 0;
+  for (const auto& daemon : daemons_) {
+    const auto& m = daemon->metrics();
+    total += m.hellos_sent + m.lsas_originated + m.lsas_flooded;
+  }
+  return total;
+}
+
+}  // namespace drs::policy

@@ -14,7 +14,9 @@
 //
 // Deliberately omitted OSPF machinery (areas, DR election, LSA aging wars,
 // checksums): none of it changes the property under study — failure response
-// time driven by the dead interval.
+// time driven by the dead interval. Adjacencies are 64-bit masks, so the
+// daemon, and with it make_policy("ospf", ...), rejects clusters above
+// kOspfMaxNodes.
 #pragma once
 
 #include <array>
@@ -27,9 +29,13 @@
 
 #include "net/host.hpp"
 #include "net/network.hpp"
+#include "policy/policy.hpp"
 #include "sim/timer.hpp"
 
-namespace drs::reactive {
+namespace drs::policy {
+
+/// Largest cluster OSPF-lite supports: one adjacency bit per node.
+inline constexpr std::uint16_t kOspfMaxNodes = 64;
 
 struct OspfConfig {
   util::Duration hello_interval = util::Duration::seconds(10);  // RFC default
@@ -64,7 +70,7 @@ struct OspfHello final : net::Payload {
 };
 
 /// Router-LSA: the originator's live adjacencies as one bitmask per network
-/// (supports clusters up to 64 nodes, matching the paper's evaluation range).
+/// (hence kOspfMaxNodes, which covers the paper's evaluation range).
 struct OspfLsa final : net::Payload {
   static constexpr net::PayloadKind kKind = net::PayloadKind::kOspfLsa;
   OspfLsa() : net::Payload(kKind) {}
@@ -78,6 +84,7 @@ struct OspfLsa final : net::Payload {
 
 class OspfDaemon {
  public:
+  /// Throws std::invalid_argument when node_count exceeds kOspfMaxNodes.
   OspfDaemon(net::Host& host, std::uint16_t node_count, OspfConfig config);
   ~OspfDaemon();
   OspfDaemon(const OspfDaemon&) = delete;
@@ -127,15 +134,25 @@ class OspfDaemon {
   Metrics metrics_;
 };
 
-class OspfSystem {
+/// OSPF-lite over a whole cluster; overhead = hellos + LSAs originated + LSAs
+/// flooded.
+class OspfPolicy final : public RoutingPolicy {
  public:
-  OspfSystem(net::ClusterNetwork& network, OspfConfig config);
-  void start();
-  void stop();
+  OspfPolicy(net::ClusterNetwork& network, const OspfConfig& config);
+
+  const char* name() const override { return "ospf"; }
+  void start() override;
+  void stop() override;
+  proto::IcmpService& icmp(net::NodeId node) override {
+    return *icmp_.at(node);
+  }
+  std::uint64_t control_messages() const override;
+
   OspfDaemon& daemon(net::NodeId node) { return *daemons_.at(node); }
 
  private:
   std::vector<std::unique_ptr<OspfDaemon>> daemons_;
+  std::vector<std::unique_ptr<proto::IcmpService>> icmp_;
 };
 
-}  // namespace drs::reactive
+}  // namespace drs::policy

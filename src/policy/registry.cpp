@@ -2,11 +2,34 @@
 
 #include <stdexcept>
 
-#include "policy/adapters.hpp"
+#include "policy/drs.hpp"
 
 namespace drs::policy {
 
 namespace {
+
+/// The do-nothing boot-routes baseline: echo responders and nothing else. Its
+/// overhead really is zero, reported through the same control_messages()
+/// hook as everyone else (no harness special case).
+class StaticPolicy final : public RoutingPolicy {
+ public:
+  explicit StaticPolicy(net::ClusterNetwork& network) {
+    for (net::NodeId i = 0; i < network.node_count(); ++i) {
+      icmp_.push_back(std::make_unique<proto::IcmpService>(network.host(i)));
+    }
+  }
+
+  const char* name() const override { return "static"; }
+  void start() override {}
+  void stop() override {}
+  proto::IcmpService& icmp(net::NodeId node) override {
+    return *icmp_.at(node);
+  }
+  std::uint64_t control_messages() const override { return 0; }
+
+ private:
+  std::vector<std::unique_ptr<proto::IcmpService>> icmp_;
+};
 
 std::optional<std::string> validate_none(const PolicyParams&) {
   return std::nullopt;

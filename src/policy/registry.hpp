@@ -20,10 +20,10 @@
 
 #include "core/config.hpp"
 #include "policy/alternate_path.hpp"
+#include "policy/ospf.hpp"
 #include "policy/policy.hpp"
+#include "policy/rip.hpp"
 #include "policy/static_resilient.hpp"
-#include "reactive/ospf_lite.hpp"
-#include "reactive/rip_lite.hpp"
 
 namespace drs::policy {
 
@@ -31,8 +31,8 @@ namespace drs::policy {
 /// its own member, so a single PolicyParams can drive a whole shootout.
 struct PolicyParams {
   core::DrsConfig drs;
-  reactive::RipConfig rip;
-  reactive::OspfConfig ospf;
+  RipConfig rip;
+  OspfConfig ospf;
   StaticResilientConfig static_resilient;
   AlternatePathConfig alternate_path;
 };
@@ -61,8 +61,9 @@ std::vector<std::string> policy_names();
     std::string_view name, const PolicyParams& params);
 
 /// Constructs the named policy over `network`. Throws std::invalid_argument
-/// on unknown names (message lists the registered names) and on parameter
-/// validation failures.
+/// on unknown names (message lists the registered names), on parameter
+/// validation failures, and on clusters the policy cannot hold ("ospf" above
+/// kOspfMaxNodes).
 std::unique_ptr<RoutingPolicy> make_policy(std::string_view name,
                                            net::ClusterNetwork& network,
                                            const PolicyParams& params);

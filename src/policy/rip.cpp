@@ -1,4 +1,4 @@
-#include "reactive/rip_lite.hpp"
+#include "policy/rip.hpp"
 
 #include <algorithm>
 #include <sstream>
@@ -6,7 +6,7 @@
 #include "net/network.hpp"
 #include "util/log.hpp"
 
-namespace drs::reactive {
+namespace drs::policy {
 
 std::string RipPayload::describe() const {
   std::ostringstream out;
@@ -141,19 +141,28 @@ void RipDaemon::install(net::Ipv4Addr destination, const Learned& learned) {
   });
 }
 
-RipSystem::RipSystem(net::ClusterNetwork& network, RipConfig config) {
+RipPolicy::RipPolicy(net::ClusterNetwork& network, const RipConfig& config) {
   for (net::NodeId i = 0; i < network.node_count(); ++i) {
     daemons_.push_back(std::make_unique<RipDaemon>(network.host(i),
                                                    network.node_count(), config));
+    icmp_.push_back(std::make_unique<proto::IcmpService>(network.host(i)));
   }
 }
 
-void RipSystem::start() {
+void RipPolicy::start() {
   for (auto& daemon : daemons_) daemon->start();
 }
 
-void RipSystem::stop() {
+void RipPolicy::stop() {
   for (auto& daemon : daemons_) daemon->stop();
 }
 
-}  // namespace drs::reactive
+std::uint64_t RipPolicy::control_messages() const {
+  std::uint64_t total = 0;
+  for (const auto& daemon : daemons_) {
+    total += daemon->metrics().advertisements_sent;
+  }
+  return total;
+}
+
+}  // namespace drs::policy

@@ -7,20 +7,23 @@
 // out, which with classic parameters (30 s advertisements, 180 s timeout)
 // takes minutes — exactly the behaviour the paper contrasts DRS's proactive
 // probing against. Both the classic constants and scaled-down variants are
-// configurable so the comparison benches can sweep them.
+// configurable so the comparison benches can sweep them. RipPolicy is the
+// registry's "rip" entry: one daemon and one echo responder per host.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "net/host.hpp"
 #include "net/network.hpp"
+#include "policy/policy.hpp"
 #include "sim/timer.hpp"
 
-namespace drs::reactive {
+namespace drs::policy {
 
 struct RipConfig {
   util::Duration advertise_interval = util::Duration::seconds(30);
@@ -108,16 +111,24 @@ class RipDaemon {
   Metrics metrics_;
 };
 
-/// Convenience: one RIP daemon per cluster host.
-class RipSystem {
+/// RIP-lite over a whole cluster; overhead = advertisements sent.
+class RipPolicy final : public RoutingPolicy {
  public:
-  RipSystem(net::ClusterNetwork& network, RipConfig config);
-  void start();
-  void stop();
+  RipPolicy(net::ClusterNetwork& network, const RipConfig& config);
+
+  const char* name() const override { return "rip"; }
+  void start() override;
+  void stop() override;
+  proto::IcmpService& icmp(net::NodeId node) override {
+    return *icmp_.at(node);
+  }
+  std::uint64_t control_messages() const override;
+
   RipDaemon& daemon(net::NodeId node) { return *daemons_.at(node); }
 
  private:
   std::vector<std::unique_ptr<RipDaemon>> daemons_;
+  std::vector<std::unique_ptr<proto::IcmpService>> icmp_;
 };
 
-}  // namespace drs::reactive
+}  // namespace drs::policy

@@ -94,7 +94,7 @@ ShootoutReport run_shootout(const ShootoutConfig& config) {
     double stretch_sum = 0.0;
     std::uint32_t stretch_samples = 0;
     for (const std::vector<net::ComponentIndex>& pattern : report.corpus) {
-      reactive::ScenarioConfig scenario;
+      ScenarioConfig scenario;
       scenario.node_count = config.node_count;
       scenario.policy = name;
       scenario.params = config.params;
@@ -105,8 +105,8 @@ ShootoutReport run_shootout(const ShootoutConfig& config) {
       scenario.warmup = config.warmup;
       scenario.measure = config.measure;
       scenario.track_detection = true;
-      const reactive::ScenarioResult result =
-          reactive::run_failure_scenario(scenario, pattern);
+      const ScenarioResult result =
+          run_failure_scenario(scenario, pattern);
       ++row.patterns;
       row.messages += result.protocol_messages;
       if (result.detection) {

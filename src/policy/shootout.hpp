@@ -6,7 +6,7 @@
 // filtered to discriminating patterns — ones that break the observer pair's
 // preferred-network direct path while leaving a backup path alive, so the
 // policies' answers actually differ.
-// Each pattern runs through reactive::run_failure_scenario under each
+// Each pattern runs through run_failure_scenario under each
 // policy with detection tracking on; the observer pair is derived from the
 // pattern (destination = owner of the first failed NIC) so the measured
 // stream is one the failure actually threatens. The per-policy aggregates
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "chaos/schedule.hpp"
-#include "reactive/comparison.hpp"
+#include "policy/comparison.hpp"
 
 namespace drs::policy {
 
@@ -43,7 +43,7 @@ struct ShootoutConfig {
   /// Parameters handed to every policy (each reads only its own struct).
   PolicyParams params;
 
-  /// Scenario-harness knobs (see reactive::ScenarioConfig).
+  /// Scenario-harness knobs (see ScenarioConfig).
   util::Duration app_probe_interval = util::Duration::millis(10);
   util::Duration app_probe_timeout = util::Duration::millis(50);
   util::Duration warmup = util::Duration::seconds(2);

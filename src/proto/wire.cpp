@@ -223,7 +223,7 @@ std::optional<core::DrsControlPayload> decode_drs(
 
 // --- RIPv1 (RFC 1058: 4-byte header + 20 bytes per entry) ---------------------
 
-std::vector<std::uint8_t> encode(const reactive::RipPayload& payload) {
+std::vector<std::uint8_t> encode(const policy::RipPayload& payload) {
   ByteWriter w;
   w.u8(2);  // command: response
   w.u8(1);  // version 1
@@ -239,17 +239,17 @@ std::vector<std::uint8_t> encode(const reactive::RipPayload& payload) {
   return w.take();
 }
 
-std::optional<reactive::RipPayload> decode_rip(
+std::optional<policy::RipPayload> decode_rip(
     std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   if (r.u8() != 2 || r.u8() != 1) return std::nullopt;
-  reactive::RipPayload payload;
+  policy::RipPayload payload;
   payload.advertiser = r.u16();
   if ((bytes.size() - 4) % 20 != 0) return std::nullopt;
   while (r.ok() && r.remaining() >= 20) {
     if (r.u16() != 2) return std::nullopt;  // address family
     r.u16();
-    reactive::RipAdvert advert;
+    policy::RipAdvert advert;
     advert.destination = net::Ipv4Addr(r.u32());
     r.u32();
     r.u32();

@@ -19,10 +19,10 @@
 #include <vector>
 
 #include "core/messages.hpp"
+#include "policy/rip.hpp"
 #include "proto/icmp.hpp"
 #include "proto/tcp_lite.hpp"
 #include "proto/udp.hpp"
-#include "reactive/rip_lite.hpp"
 
 namespace drs::proto::wire {
 
@@ -84,7 +84,7 @@ std::optional<TcpSegment> decode_tcp(std::span<const std::uint8_t> bytes);
 std::vector<std::uint8_t> encode(const core::DrsControlPayload& payload);
 std::optional<core::DrsControlPayload> decode_drs(std::span<const std::uint8_t> bytes);
 
-std::vector<std::uint8_t> encode(const reactive::RipPayload& payload);
-std::optional<reactive::RipPayload> decode_rip(std::span<const std::uint8_t> bytes);
+std::vector<std::uint8_t> encode(const policy::RipPayload& payload);
+std::optional<policy::RipPayload> decode_rip(std::span<const std::uint8_t> bytes);
 
 }  // namespace drs::proto::wire

@@ -163,8 +163,7 @@ TEST(DrsSystemBuilderPolicy, BuildsAnyRegisteredPolicyByName) {
                      .with_policy("static_resilient")
                      .build();
   EXPECT_FALSE(cluster.has_system());
-  ASSERT_TRUE(cluster.has_policy());
-  EXPECT_EQ(cluster.policy().name(), "static_resilient");
+  EXPECT_STREQ(cluster.policy().name(), "static_resilient");
   cluster.settle(1_s);
   EXPECT_TRUE(cluster.test_reachability(0, 1));
 }
@@ -177,7 +176,7 @@ TEST(DrsSystemBuilderPolicy, DrsByNameStillExposesTheSystem) {
                      .probe_timeout(20_ms)
                      .build();
   ASSERT_TRUE(cluster.has_system());
-  ASSERT_TRUE(cluster.has_policy());
+  EXPECT_STREQ(cluster.policy().name(), "drs");
   EXPECT_EQ(cluster.system().daemon(0).config().probe_interval, 50_ms);
   cluster.settle(1_s);
   EXPECT_TRUE(cluster.test_reachability(0, 1));
@@ -210,11 +209,15 @@ TEST(DrsSystemBuilderPolicy, SystemAccessorThrowsWithoutDrs) {
   EXPECT_THROW(cluster.system(), std::logic_error);
 }
 
-TEST(DrsSystemBuilderPolicy, PolicyAccessorThrowsOnLegacyPath) {
+TEST(DrsSystemBuilderPolicy, DefaultBuildRunsDrsThroughTheRegistry) {
+  // No with_policy(): the one construction path picks "drs" by name.
   auto cluster = core::DrsSystemBuilder().node_count(4).build();
   EXPECT_TRUE(cluster.has_system());
-  EXPECT_FALSE(cluster.has_policy());
-  EXPECT_THROW(cluster.policy(), std::logic_error);
+  EXPECT_STREQ(cluster.policy().name(), "drs");
+  cluster.settle(1_s);
+  EXPECT_EQ(cluster.policy().control_messages(),
+            cluster.system().total_probes_sent() +
+                cluster.system().total_control_messages());
 }
 
 TEST(DrsSystemBuilderPolicy, PreSeededFailureVisibleToPrecomputedPolicy) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace drs::net {
 namespace {
@@ -165,6 +167,31 @@ TEST_F(ClusterNetworkTest, ObserverSeesEveryAppliedAction) {
   EXPECT_TRUE(seen[1].fail);
   EXPECT_FALSE(seen[2].fail);
   EXPECT_EQ(seen[2].at, util::SimTime::zero() + 10_ms);
+}
+
+// Node i is host 10.k.0.(i+1): 254 nodes fill the /24, and node 254 would
+// take the subnet broadcast address.
+TEST(ClusterNetworkSize, AcceptsTheAddressPlanBounds) {
+  sim::Simulator sim;
+  ClusterNetwork smallest(sim, {.node_count = 2, .backplane = {}});
+  EXPECT_EQ(smallest.component_count(), 6u);
+  ClusterNetwork largest(sim, {.node_count = 254, .backplane = {}});
+  EXPECT_EQ(largest.host(253).ip(kNetworkA), Ipv4Addr::octets(10, 1, 0, 254));
+  EXPECT_EQ(largest.host(253).ip(kNetworkB), Ipv4Addr::octets(10, 2, 0, 254));
+}
+
+TEST(ClusterNetworkSize, RejectsSizesOutsideTheAddressPlan) {
+  sim::Simulator sim;
+  for (const int n : {0, 1, 255, 256}) {
+    try {
+      ClusterNetwork network(sim,
+                             {.node_count = static_cast<std::uint16_t>(n), .backplane = {}});
+      ADD_FAILURE() << "node_count " << n << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("node_count"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(ComponentRef, Describes) {

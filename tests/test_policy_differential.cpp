@@ -1,12 +1,11 @@
-// Differential pin of the comparison harness across the policy-API redesign.
+// Differential pin of the comparison harness across the policy-API redesign
+// and the fold of RIP-lite / OSPF-lite into the policy module.
 //
 // The golden file tests/golden/comparison_results.txt was generated from the
-// pre-redesign ProtocolKind-switch harness (DRS + RIP over six fixed failure
+// pre-redesign enum-switch harness (DRS + RIP over six fixed failure
 // scenarios at the comparison test's n=8 configuration); the OSPF-lite and
-// static rows were added from the same harness before either moved. The redesigned
-// registry-backed harness must reproduce those results byte-identically —
-// both through the new string-keyed policy path and through the deprecated
-// ProtocolKind shim.
+// static rows were frozen from the registry harness before either moved.
+// The harness must keep reproducing every row byte-identically.
 //
 // To regenerate after an intentional behaviour change:
 //   DRS_UPDATE_GOLDEN=1 ./build/tests/test_policy_differential
@@ -19,9 +18,9 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "reactive/comparison.hpp"
+#include "policy/comparison.hpp"
 
-namespace drs::reactive {
+namespace drs::policy {
 namespace {
 
 using namespace drs::util::literals;
@@ -90,54 +89,7 @@ void serialize(std::ostringstream& out, const char* policy,
       << " protocol_messages=" << r.protocol_messages << "\n";
 }
 
-// ---- the deprecated ProtocolKind shim, exactly as pre-redesign callers
-// wrote it (flat per-protocol config members, enum selection) ----
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-ScenarioConfig base_config(ProtocolKind kind) {
-  ScenarioConfig config;
-  config.node_count = 8;
-  config.protocol = kind;
-  config.drs.probe_interval = 50_ms;
-  config.drs.probe_timeout = 20_ms;
-  config.drs.failures_to_down = 2;
-  config.drs.discover_timeout = 25_ms;
-  config.rip.advertise_interval = 1_s;
-  config.rip.route_timeout = 6_s;
-  config.ospf.hello_interval = 500_ms;
-  config.ospf.dead_interval = 2_s;
-  config.ospf.lsa_refresh = 1500_ms;
-  config.warmup = 3_s;
-  config.measure = 12_s;
-  return config;
-}
-
-std::string run_corpus_via_enum() {
-  std::ostringstream out;
-  for (const ProtocolKind kind : {ProtocolKind::kDrs, ProtocolKind::kRip,
-                                  ProtocolKind::kOspf, ProtocolKind::kStatic}) {
-    for (const NamedScenario& scenario : corpus()) {
-      const ScenarioResult result =
-          run_failure_scenario(base_config(kind), scenario.failed);
-      serialize(out, to_string(kind), scenario.name, result);
-    }
-  }
-  return out.str();
-}
-
-TEST(PolicyDifferentialShim, EnumNamesStillResolve) {
-  EXPECT_STREQ(to_string(ProtocolKind::kDrs), "drs");
-  EXPECT_STREQ(to_string(ProtocolKind::kRip), "rip");
-  EXPECT_STREQ(to_string(ProtocolKind::kOspf), "ospf");
-  EXPECT_STREQ(to_string(ProtocolKind::kStatic), "static");
-}
-
-#pragma GCC diagnostic pop
-
-// ---- the redesigned registry path: same knobs via policy name + params ----
-
-ScenarioConfig registry_config(const char* policy) {
+ScenarioConfig corpus_config(const char* policy) {
   ScenarioConfig config;
   config.node_count = 8;
   config.policy = policy;
@@ -155,12 +107,12 @@ ScenarioConfig registry_config(const char* policy) {
   return config;
 }
 
-std::string run_corpus_via_registry() {
+std::string run_corpus() {
   std::ostringstream out;
   for (const char* policy : {"drs", "rip", "ospf", "static"}) {
     for (const NamedScenario& scenario : corpus()) {
       const ScenarioResult result =
-          run_failure_scenario(registry_config(policy), scenario.failed);
+          run_failure_scenario(corpus_config(policy), scenario.failed);
       serialize(out, policy, scenario.name, result);
     }
   }
@@ -168,16 +120,8 @@ std::string run_corpus_via_registry() {
 }
 
 TEST(PolicyDifferential, RegistryPathMatchesPreRedesignGolden) {
-  check_golden("comparison_results.txt", run_corpus_via_registry());
-}
-
-TEST(PolicyDifferential, EnumShimMatchesPreRedesignGolden) {
-  check_golden("comparison_results.txt", run_corpus_via_enum());
-}
-
-TEST(PolicyDifferential, BothPathsAgreeExactly) {
-  EXPECT_EQ(run_corpus_via_registry(), run_corpus_via_enum());
+  check_golden("comparison_results.txt", run_corpus());
 }
 
 }  // namespace
-}  // namespace drs::reactive
+}  // namespace drs::policy

@@ -255,7 +255,7 @@ TEST(DrsWire, RejectsBadMagicVersionAndType) {
 // --- RIP ------------------------------------------------------------------------
 
 TEST(RipWire, GoldenAndRoundTrip) {
-  reactive::RipPayload payload;
+  policy::RipPayload payload;
   payload.advertiser = 3;
   payload.entries.push_back({net::cluster_ip(0, 1), 1});
   payload.entries.push_back({net::cluster_ip(1, 4), 2});
@@ -275,7 +275,7 @@ TEST(RipWire, GoldenAndRoundTrip) {
 }
 
 TEST(RipWire, EmptyAdvertisementIsJustHeader) {
-  reactive::RipPayload payload;
+  policy::RipPayload payload;
   const auto bytes = encode(payload);
   EXPECT_EQ(bytes.size(), 4u);
   const auto decoded = decode_rip(bytes);
@@ -284,7 +284,7 @@ TEST(RipWire, EmptyAdvertisementIsJustHeader) {
 }
 
 TEST(RipWire, RejectsRaggedEntries) {
-  auto bytes = encode(reactive::RipPayload{});
+  auto bytes = encode(policy::RipPayload{});
   bytes.resize(bytes.size() + 10);  // half an entry
   EXPECT_FALSE(decode_rip(bytes).has_value());
 }

@@ -1,10 +1,13 @@
-#include "reactive/comparison.hpp"
+#include "policy/comparison.hpp"
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "net/network.hpp"
 
-namespace drs::reactive {
+namespace drs::policy {
 namespace {
 
 using namespace drs::util::literals;
@@ -142,6 +145,37 @@ TEST(Comparison, UnknownPolicyNameListsRegisteredNames) {
   }
 }
 
+TEST(Comparison, InvalidInputsRejectedNamingTheField) {
+  // Each case must fail with std::invalid_argument naming its field, up
+  // front, not as an out_of_range from deep inside a policy or after warmup.
+  struct Case {
+    const char* field;
+    net::NodeId observer_src;
+    net::NodeId observer_dst;
+    std::vector<net::ComponentIndex> failed;
+  };
+  const std::vector<Case> cases = {
+      {"observer_src", 8, 1, {}},  // n = 8: ids are 0..7
+      {"observer_dst", 0, 8, {}},
+      {"observer_dst", 3, 3, {}},  // a pair that observes itself
+      {"failed_components", 0, 1, {net::ClusterNetwork::nic_component(1, 0), 18}},
+  };
+  for (const Case& c : cases) {
+    ScenarioConfig config = base_config("drs");
+    config.observer_src = c.observer_src;
+    config.observer_dst = c.observer_dst;
+    try {
+      (void)run_failure_scenario(config, c.failed);
+      ADD_FAILURE() << "expected std::invalid_argument for " << c.field;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(c.field), std::string::npos)
+          << error.what();
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << c.field << ": wrong exception type: " << error.what();
+    }
+  }
+}
+
 TEST(Comparison, DetectionTrackingReportsTableChange) {
   ScenarioConfig config = base_config("drs");
   config.track_detection = true;
@@ -156,4 +190,4 @@ TEST(Comparison, DetectionTrackingReportsTableChange) {
 }
 
 }  // namespace
-}  // namespace drs::reactive
+}  // namespace drs::policy

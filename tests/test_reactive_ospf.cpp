@@ -1,11 +1,14 @@
-#include "reactive/ospf_lite.hpp"
+#include "policy/ospf.hpp"
 
 #include <gtest/gtest.h>
 
-#include "analytic/enumerate.hpp"
-#include "proto/icmp.hpp"
+#include <stdexcept>
+#include <string>
 
-namespace drs::reactive {
+#include "analytic/enumerate.hpp"
+#include "policy/registry.hpp"
+
+namespace drs::policy {
 namespace {
 
 using namespace drs::util::literals;
@@ -21,10 +24,13 @@ OspfConfig fast_ospf() {
 
 class OspfTest : public ::testing::Test {
  protected:
-  OspfTest() : network(sim, {.node_count = 5, .backplane = {}}) {
-    for (net::NodeId i = 0; i < 5; ++i) {
-      icmp.push_back(std::make_unique<proto::IcmpService>(network.host(i)));
-    }
+  OspfTest() : network(sim, {.node_count = 5, .backplane = {}}) {}
+
+  /// Builds the cluster's OSPF-lite daemons and echo responders, started.
+  OspfPolicy& start_ospf(const OspfConfig& config = fast_ospf()) {
+    ospf_policy = std::make_unique<OspfPolicy>(network, config);
+    ospf_policy->start();
+    return *ospf_policy;
   }
 
   bool ping(net::NodeId from, net::Ipv4Addr to) {
@@ -32,7 +38,7 @@ class OspfTest : public ::testing::Test {
     bool done = false;
     proto::PingOptions options;
     options.timeout = 50_ms;
-    icmp[from]->ping(to, options, [&](const proto::PingResult& r) {
+    ospf_policy->icmp(from).ping(to, options, [&](const proto::PingResult& r) {
       ok = r.success;
       done = true;
     });
@@ -43,12 +49,11 @@ class OspfTest : public ::testing::Test {
 
   sim::Simulator sim;
   net::ClusterNetwork network;
-  std::vector<std::unique_ptr<proto::IcmpService>> icmp;
+  std::unique_ptr<OspfPolicy> ospf_policy;
 };
 
 TEST_F(OspfTest, HellosBuildFullAdjacency) {
-  OspfSystem ospf(network, fast_ospf());
-  ospf.start();
+  OspfPolicy& ospf = start_ospf();
   sim.run_for(2_s);
   for (net::NodeId i = 0; i < 5; ++i) {
     for (net::NodeId j = 0; j < 5; ++j) {
@@ -62,8 +67,7 @@ TEST_F(OspfTest, HellosBuildFullAdjacency) {
 }
 
 TEST_F(OspfTest, HealthyClusterInstallsNoHostRoutes) {
-  OspfSystem ospf(network, fast_ospf());
-  ospf.start();
+  start_ospf();
   sim.run_for(3_s);
   for (net::NodeId i = 0; i < 5; ++i) {
     for (const auto& route : network.host(i).routing_table().routes()) {
@@ -73,8 +77,7 @@ TEST_F(OspfTest, HealthyClusterInstallsNoHostRoutes) {
 }
 
 TEST_F(OspfTest, NicFailureReroutesAfterDeadInterval) {
-  OspfSystem ospf(network, fast_ospf());
-  ospf.start();
+  OspfPolicy& ospf = start_ospf();
   sim.run_for(2_s);
   ASSERT_TRUE(ping(0, net::cluster_ip(0, 1)));
 
@@ -93,8 +96,7 @@ TEST_F(OspfTest, NicFailureReroutesAfterDeadInterval) {
 }
 
 TEST_F(OspfTest, CrossSplitUsesRelayViaLsdb) {
-  OspfSystem ospf(network, fast_ospf());
-  ospf.start();
+  start_ospf();
   sim.run_for(2_s);
   network.set_component_failed(net::ClusterNetwork::nic_component(0, 1), true);
   network.set_component_failed(net::ClusterNetwork::nic_component(1, 0), true);
@@ -112,8 +114,7 @@ TEST_F(OspfTest, CrossSplitUsesRelayViaLsdb) {
 }
 
 TEST_F(OspfTest, RecoveryRemovesHostRoutes) {
-  OspfSystem ospf(network, fast_ospf());
-  ospf.start();
+  start_ospf();
   sim.run_for(2_s);
   network.set_component_failed(net::ClusterNetwork::nic_component(1, 0), true);
   sim.run_for(fast_ospf().dead_interval + 2 * fast_ospf().hello_interval);
@@ -132,8 +133,7 @@ TEST_F(OspfTest, DetectionIsDeadIntervalBound) {
   OspfConfig slow = fast_ospf();
   slow.hello_interval = 1_s;
   slow.dead_interval = 4_s;
-  OspfSystem ospf(network, slow);
-  ospf.start();
+  start_ospf(slow);
   sim.run_for(3_s);
   network.set_component_failed(net::ClusterNetwork::nic_component(1, 0), true);
   sim.run_for(2_s);  // half the dead interval
@@ -143,8 +143,7 @@ TEST_F(OspfTest, DetectionIsDeadIntervalBound) {
 }
 
 TEST_F(OspfTest, LsaSequenceGuardsAgainstStaleFloods) {
-  OspfSystem ospf(network, fast_ospf());
-  ospf.start();
+  OspfPolicy& ospf = start_ospf();
   sim.run_for(2_s);
   const auto flooded_before = ospf.daemon(2).metrics().lsas_flooded;
   // Steady state: refresh LSAs keep flowing, each flooded at most once per
@@ -157,8 +156,7 @@ TEST_F(OspfTest, LsaSequenceGuardsAgainstStaleFloods) {
 }
 
 TEST_F(OspfTest, StopsCleanly) {
-  OspfSystem ospf(network, fast_ospf());
-  ospf.start();
+  OspfPolicy& ospf = start_ospf();
   sim.run_for(2_s);
   ospf.stop();
   const auto sent = ospf.daemon(0).metrics().hellos_sent;
@@ -177,15 +175,11 @@ TEST_P(OspfDoubleFailure, SteadyStateMatchesSurvivabilityModel) {
   const auto [c1, c2] = GetParam();
   sim::Simulator sim;
   net::ClusterNetwork network(sim, {.node_count = 4, .backplane = {}});
-  std::vector<std::unique_ptr<proto::IcmpService>> icmp;
-  for (net::NodeId i = 0; i < 4; ++i) {
-    icmp.push_back(std::make_unique<proto::IcmpService>(network.host(i)));
-  }
   OspfConfig config;
   config.hello_interval = 200_ms;
   config.dead_interval = 800_ms;
   config.lsa_refresh = 600_ms;
-  OspfSystem ospf(network, config);
+  OspfPolicy ospf(network, config);
   ospf.start();
   sim.run_for(2_s);
   network.set_component_failed(static_cast<net::ComponentIndex>(c1), true);
@@ -201,7 +195,7 @@ TEST_P(OspfDoubleFailure, SteadyStateMatchesSurvivabilityModel) {
   bool done = false;
   proto::PingOptions options;
   options.timeout = 50_ms;
-  icmp[0]->ping(net::cluster_ip(0, 1), options, [&](const proto::PingResult& r) {
+  ospf.icmp(0).ping(net::cluster_ip(0, 1), options, [&](const proto::PingResult& r) {
     reachable = r.success;
     done = true;
   });
@@ -221,6 +215,44 @@ std::vector<std::pair<int, int>> ospf_component_pairs() {
 INSTANTIATE_TEST_SUITE_P(Exhaustive, OspfDoubleFailure,
                          ::testing::ValuesIn(ospf_component_pairs()));
 
+// Adjacencies are 64-bit masks: node 63 is the last id a mask can hold, so
+// 64 nodes is the largest cluster OSPF-lite accepts and 65 must be refused
+// up front rather than shift out of range.
+TEST(OspfNodeLimit, SixtyFourNodesUseTheTopAdjacencyBit) {
+  sim::Simulator sim;
+  net::ClusterNetwork network(sim, {.node_count = 64, .backplane = {}});
+  PolicyParams params;
+  params.ospf = fast_ospf();
+  const auto ospf = make_policy("ospf", network, params);
+  // Only nodes 0 and 63 keep their NICs, so the run stays small while the
+  // adjacency between them lives in bit 63 of each mask.
+  for (net::NodeId node = 1; node < 63; ++node) {
+    network.set_component_failed(net::ClusterNetwork::nic_component(node, 0), true);
+    network.set_component_failed(net::ClusterNetwork::nic_component(node, 1), true);
+  }
+  ospf->start();
+  sim.run_for(2_s);
+  auto& daemons = dynamic_cast<OspfPolicy&>(*ospf);
+  EXPECT_TRUE(daemons.daemon(0).adjacent(63, 0));
+  EXPECT_TRUE(daemons.daemon(0).adjacent(63, 1));
+  EXPECT_TRUE(daemons.daemon(63).adjacent(0, 0));
+  EXPECT_FALSE(daemons.daemon(0).adjacent(62, 0));
+  EXPECT_EQ(daemons.daemon(63).lsdb_size(), 2u);
+}
+
+TEST(OspfNodeLimit, SixtyFiveNodesRejectedNamingTheLimit) {
+  sim::Simulator sim;
+  net::ClusterNetwork network(sim, {.node_count = 65, .backplane = {}});
+  try {
+    (void)make_policy("ospf", network, PolicyParams{});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("at most 64"), std::string::npos) << what;
+    EXPECT_NE(what.find("65"), std::string::npos) << what;
+  }
+}
+
 TEST(OspfPayloads, SizesAndDescriptions) {
   OspfHello hello;
   hello.advertiser = 3;
@@ -234,4 +266,4 @@ TEST(OspfPayloads, SizesAndDescriptions) {
 }
 
 }  // namespace
-}  // namespace drs::reactive
+}  // namespace drs::policy

@@ -1,10 +1,8 @@
-#include "reactive/rip_lite.hpp"
+#include "policy/rip.hpp"
 
 #include <gtest/gtest.h>
 
-#include "proto/icmp.hpp"
-
-namespace drs::reactive {
+namespace drs::policy {
 namespace {
 
 using namespace drs::util::literals;
@@ -20,18 +18,16 @@ RipConfig fast_rip() {
 
 class RipTest : public ::testing::Test {
  protected:
-  RipTest() : network(sim, {.node_count = 4, .backplane = {}}) {
-    for (net::NodeId i = 0; i < 4; ++i) {
-      icmp.push_back(std::make_unique<proto::IcmpService>(network.host(i)));
-    }
-  }
+  RipTest()
+      : network(sim, {.node_count = 4, .backplane = {}}),
+        rip(network, fast_rip()) {}
 
   bool ping(net::NodeId from, net::Ipv4Addr to) {
     bool ok = false;
     bool done = false;
     proto::PingOptions options;
     options.timeout = 50_ms;
-    icmp[from]->ping(to, options, [&](const proto::PingResult& r) {
+    rip.icmp(from).ping(to, options, [&](const proto::PingResult& r) {
       ok = r.success;
       done = true;
     });
@@ -42,11 +38,10 @@ class RipTest : public ::testing::Test {
 
   sim::Simulator sim;
   net::ClusterNetwork network;
-  std::vector<std::unique_ptr<proto::IcmpService>> icmp;
+  RipPolicy rip;  // one daemon and one echo responder per host
 };
 
 TEST_F(RipTest, LearnsHostRoutesFromAdvertisements) {
-  RipSystem rip(network, fast_rip());
   rip.start();
   sim.run_for(3_s);
   // Every node should have learned /32 routes for every other node's
@@ -60,7 +55,6 @@ TEST_F(RipTest, LearnsHostRoutesFromAdvertisements) {
 }
 
 TEST_F(RipTest, RoutesExpireWithoutRefresh) {
-  RipSystem rip(network, fast_rip());
   rip.start();
   sim.run_for(3_s);
   ASSERT_EQ(rip.daemon(0).table_size(), 6u);
@@ -76,7 +70,6 @@ TEST_F(RipTest, RoutesExpireWithoutRefresh) {
 }
 
 TEST_F(RipTest, EventualFailoverAfterTimeout) {
-  RipSystem rip(network, fast_rip());
   rip.start();
   sim.run_for(3_s);
   ASSERT_TRUE(ping(0, net::cluster_ip(0, 1)));
@@ -92,7 +85,6 @@ TEST_F(RipTest, EventualFailoverAfterTimeout) {
 }
 
 TEST_F(RipTest, RecoveryIsSlowerThanTimeoutWindow) {
-  RipSystem rip(network, fast_rip());
   rip.start();
   sim.run_for(3_s);
   network.set_component_failed(net::ClusterNetwork::nic_component(1, 0), true);
@@ -103,7 +95,6 @@ TEST_F(RipTest, RecoveryIsSlowerThanTimeoutWindow) {
 }
 
 TEST_F(RipTest, StopsCleanly) {
-  RipSystem rip(network, fast_rip());
   rip.start();
   sim.run_for(2_s);
   rip.stop();
@@ -122,4 +113,4 @@ TEST(RipPayloadSize, TwentyBytesPerEntryPlusHeader) {
 }
 
 }  // namespace
-}  // namespace drs::reactive
+}  // namespace drs::policy
