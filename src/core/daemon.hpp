@@ -45,8 +45,8 @@ namespace drs::core {
 
 class DrsDaemon;
 
-/// Shared probe-timeout scanner for the batched sweep path (one per
-/// DrsSystem; a standalone daemon lazily owns a private one).
+/// Shared probe-timeout scanner for the probe sweep (one per DrsSystem; a
+/// standalone daemon lazily owns a private one).
 ///
 /// Unmanaged sweep probes have no per-probe timeout event. Instead the
 /// sweeper keeps one flat record per sent probe — deadline, covering
@@ -54,9 +54,9 @@ class DrsDaemon;
 /// plus a single pending scan event armed at the earliest live deadline
 /// *under that record's claimed rank*. Each firing expires exactly one due
 /// probe and re-arms from the next live record (possibly at the same
-/// instant), so every expiry pops at precisely the (time, sequence)
-/// coordinate the legacy per-probe timeout event occupied; the differential
-/// corpus (tests/test_probe_differential.cpp) pins this byte-for-byte.
+/// instant), so every expiry pops at the (deadline, claimed rank)
+/// coordinate of its own send; tests/golden/probe_corpus.txt pins the
+/// resulting traces byte for byte.
 /// Records of replied or re-sent probes go stale in place and are dropped
 /// lazily as the scan walks past them, so the healthy steady state is one
 /// firing per deadline cohort and O(1) amortized work per probe.
@@ -64,10 +64,9 @@ class ProbeTimeoutSweeper {
  public:
   explicit ProbeTimeoutSweeper(sim::Simulator& sim) : sim_(sim) {}
 
-  /// Called at each probe send, before the echo frame is pushed (the
-  /// position where the legacy scheduler pushed its managed timeout event):
-  /// claims this probe's rank and keeps the scan armed at a time <= the
-  /// earliest live deadline.
+  /// Called at each probe send, before the echo frame is pushed: claims this
+  /// probe's rank (its expiry pops at that claimed-rank position) and keeps
+  /// the scan armed at a time <= the earliest live deadline.
   void note_deadline(DrsDaemon& daemon, std::uint32_t entry,
                      std::int64_t deadline_ns);
 
@@ -201,13 +200,11 @@ class DrsDaemon {
   };
 
   void on_cycle();
-  void schedule_cycle_probes_legacy();
-  void schedule_cycle_probes_batched();
-  void send_probe(net::NodeId peer, net::NetworkId network);
-  /// Batched sweep: sends `table_` entry probes [sweep_pos_, ...) that share
-  /// the current instant's spread offset, then re-arms the cursor for the
-  /// next distinct offset. Send times and ordering are byte-identical to the
-  /// legacy per-event schedule (tests/test_probe_differential.cpp).
+  void schedule_cycle_probes();
+  /// Sends `table_` entry probes [sweep_pos_, ...) that share the current
+  /// instant's spread offset, then re-arms the cursor for the next distinct
+  /// offset. Every send pops at the cursor's claimed-rank position
+  /// (tests/golden/probe_corpus.txt pins the send instants and order).
   void run_sweep();
   void send_entry_probe(std::uint32_t entry);
   /// Reply hook for raw sweep probes (IcmpService::set_probe_reply_hook):
@@ -215,8 +212,8 @@ class DrsDaemon {
   /// the seq named a live sweep probe (managed pings fall through).
   bool on_raw_probe_reply(std::uint16_t seq);
   /// Sweeper expiry for a raw sweep probe: the kPingLost/timed-out
-  /// bookkeeping plus the failure verdict, mirroring the legacy managed
-  /// timeout path event for event.
+  /// bookkeeping plus the failure verdict, in a managed ping's timeout
+  /// order.
   void expire_entry(std::uint32_t entry);
   void on_probe_result(net::NodeId peer, net::NetworkId network,
                        const proto::PingResult& result);
@@ -263,12 +260,10 @@ class DrsDaemon {
   std::vector<std::uint8_t> monitored_;
   std::map<LeaseKey, Lease> leases_;
   sim::PeriodicTimer cycle_timer_;
-  /// Path probes and (in legacy mode) sweep probes awaiting a verdict; kept
-  /// so stop() can cancel their callbacks. Batched sweep probes live in
-  /// table_ instead.
+  /// Path probes awaiting a verdict; kept so stop() can cancel their
+  /// callbacks. Sweep probes live in table_ instead.
   util::FlatSet<std::uint16_t> outstanding_probes_;
-  std::vector<sim::EventHandle> pending_probe_sends_;
-  /// Batched-sweep state (unused under kLegacyPerPeer).
+  /// Sweep state: the SoA probe fabric.
   PeerTable table_;
   /// Raw-probe correlation: in-flight sweep seq -> table entry. At most one
   /// probe per entry is outstanding (the sweeper expires before the next
@@ -281,9 +276,8 @@ class DrsDaemon {
   sim::EventHandle sweep_cursor_;
   std::uint32_t sweep_pos_ = 0;
   /// The cursor's claimed queue rank for the current cycle: claimed at the
-  /// tick (where legacy pushed its whole send-event block) and reused for
-  /// every spread-offset re-push, so cursor firings tie-break against
-  /// foreign same-instant events exactly like the legacy send events did.
+  /// tick and reused for every spread-offset re-push, so every probe send of
+  /// the cycle pops at that claimed-rank position among same-instant events.
   std::uint64_t sweep_rank_ = 0;
   /// Private fallback when no shared sweeper was injected.
   std::unique_ptr<ProbeTimeoutSweeper> own_sweeper_;

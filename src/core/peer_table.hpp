@@ -1,21 +1,20 @@
 // Struct-of-arrays probe fabric: the per-sweep hot state of one DRS daemon.
 //
-// The legacy scheduler kept 2·(N−1) independent wheel events pending per
-// daemon (one per (peer, network) probe of the current cycle) plus a
-// per-probe timeout event, so a 256-node cluster holds ~130k live events at
-// all times and every queue operation misses cache. The batched sweep keeps
-// exactly one self-rescheduling sweep event and one timeout-scan event per
-// daemon instead, and parks everything the sweep needs — monitored peer ids
-// in probe order, outstanding echo sequence numbers, expiry deadlines,
-// usable-verdict bits, link-state generation counters — in parallel flat
-// arrays indexed by entry = 2·slot + network. Scans over the table
-// (expiry collection, earliest-deadline lookup) are branch-light linear
-// walks over contiguous 64-bit lanes.
+// One wheel event per (peer, network) probe send plus one timeout event per
+// probe would keep 2·(N−1) events pending per daemon, ~130k live events at
+// all times in a 256-node cluster, with every queue operation missing cache.
+// The sweep keeps exactly one self-rescheduling sweep event per daemon and
+// one shared timeout-scan event instead, and parks everything the sweep
+// needs — monitored peer ids in probe order, outstanding echo sequence
+// numbers, expiry deadlines, usable-verdict bits, link-state generation
+// counters — in parallel flat arrays indexed by entry = 2·slot + network.
+// Scans over the table (expiry collection, earliest-deadline lookup) are
+// branch-light linear walks over contiguous 64-bit lanes.
 //
 // The table is the *hot* half of the daemon's peer state only: cold repair
 // state (relay choices, discovery rounds, warm standbys) stays in the
-// daemon's ordered map. Entries are kept sorted by peer id so the sweep
-// order is byte-identical to the legacy scheduler's ascending map walk.
+// daemon's ordered map. Entries are kept sorted by peer id, so each cycle
+// probes peers in ascending id order, network A before B.
 //
 // Churn (add/remove/fail/recover) is supported so cluster membership can
 // change between cycles; tests/test_peer_table_property.cpp drives this API
@@ -101,7 +100,7 @@ class PeerTable {
   std::int64_t min_deadline_ns() const;
 
   /// Outstanding entries with deadline <= now, in sweep (= send) order —
-  /// exactly the order the legacy per-probe timeout events would pop in.
+  /// the claimed-rank order in which their expiries pop.
   /// Appends entry indices to `due` (not cleared here: expiry runs the same
   /// completion path as a reply, which clears via clear_outstanding).
   void collect_due(std::int64_t now_ns, std::vector<std::uint32_t>& due) const;
