@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "analytic/enumerate.hpp"
 #include "analytic/survivability.hpp"
@@ -14,6 +15,7 @@
 #include "montecarlo/estimator.hpp"
 #include "montecarlo/packet_validation.hpp"
 #include "net/failure.hpp"
+#include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "policy/shootout.hpp"
 
@@ -281,18 +283,41 @@ Outputs run_ablation_detector(const ScenarioContext& ctx) {
           {"metrics", metrics.to_json()}};
 }
 
+/// The integer axis `field` of `family`, rejected naming the field unless it
+/// lies in [lo, hi] (so a narrowing cast downstream can never wrap it).
+std::int64_t int_axis_in(const ScenarioContext& ctx, const char* family,
+                         const char* field, std::int64_t fallback,
+                         std::int64_t lo, std::int64_t hi) {
+  const std::int64_t value = ctx.cell.get_int(field, fallback);
+  if (value < lo || value > hi) {
+    throw std::invalid_argument(
+        std::string(family) + ": `" + field + "` must be in [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
+        std::to_string(value));
+  }
+  return value;
+}
+
 Outputs run_fleet_smoke(const ScenarioContext& ctx) {
+  constexpr std::int64_t kMaxClusters = cluster::FleetConfig::kMaxClusters;
   cluster::FleetConfig config;
-  config.clusters = static_cast<std::uint16_t>(ctx.cell.get_int("clusters", 27));
-  config.nodes_per_cluster = static_cast<std::uint16_t>(ctx.cell.get_int("n", 8));
+  config.clusters = static_cast<std::uint16_t>(
+      int_axis_in(ctx, "fleet_smoke", "clusters", 27, 1, kMaxClusters));
+  config.nodes_per_cluster = static_cast<std::uint16_t>(
+      int_axis_in(ctx, "fleet_smoke", "n", 8, net::ClusterNetwork::kMinNodes,
+                  net::ClusterNetwork::kMaxNodes));
   config.drs = ctx.config;
+  // Shards clamp to the cluster count, so no fleet uses more than
+  // kMaxClusters; 0 selects the unsharded Fleet.
+  const std::int64_t shards =
+      int_axis_in(ctx, "fleet_smoke", "shards", 0, 0, kMaxClusters);
   // The `shards` axis (also the CLI's --shards default) routes the same
   // deployment through the sharded engine. Probe totals, echo counters and
   // the pristine check are byte-contract-equal to the legacy path (the
   // differential corpus proves it); the interactive relay-reachability probe
   // has no windowed equivalent, so that cell reports echo-mesh health
   // instead.
-  if (const std::int64_t shards = ctx.cell.get_int("shards", 0); shards > 0) {
+  if (shards > 0) {
     cluster::ShardedFleetConfig sharded_config;
     sharded_config.fleet = config;
     sharded_config.shards = static_cast<std::uint32_t>(shards);
