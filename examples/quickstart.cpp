@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   // 1+2. A simulated cluster (N hosts, two NICs each, two shared backplanes)
   //      with one running DRS daemon per host, in one expression. Default
   //      config: 100 ms monitoring cycles.
-  auto cluster = core::DrsSystemBuilder().node_count(nodes).build();
+  auto cluster = policy::DrsSystemBuilder().node_count(nodes).build();
   net::ClusterNetwork& network = cluster.network();
   core::DrsSystem& drs = cluster.system();
   drs.settle(1_s);

@@ -5,9 +5,9 @@
 //   #include "drs.hpp"          // and links the `drs` CMake target
 //
 // and gets the full stack: the deterministic simulator, the packet-level
-// cluster network, the DRS daemons (with core::DrsSystemBuilder as the
-// friendly front door), the routing-policy module with its reactive
-// baselines and comparison harness, the analytic and Monte-Carlo
+// cluster network, the DRS daemons, the routing-policy module with its
+// reactive baselines, comparison harness and policy::DrsSystemBuilder (the
+// friendly front door), the analytic and Monte-Carlo
 // survivability models, the Fig. 1 cost model, the cluster workloads, the
 // chaos harness, and the declarative experiment engine.
 //
@@ -57,7 +57,6 @@
 #include "proto/udp.hpp"
 
 // The DRS protocol itself.
-#include "core/builder.hpp"
 #include "core/config.hpp"
 #include "core/daemon.hpp"
 #include "core/metrics.hpp"
@@ -66,8 +65,10 @@
 // The routing-policy layer: the RoutingPolicy interface, the name-keyed
 // registry with every policy (DRS, the RIP-lite and OSPF-lite reactive
 // baselines, static, and the precomputed static-resilient / alternate-path
-// schemes), the comparison harness and the all-policies shootout.
+// schemes), the comparison harness, the all-policies shootout, and the
+// one-expression deployment builder.
 #include "policy/comparison.hpp"
+#include "policy/deployment.hpp"
 #include "policy/policy.hpp"
 #include "policy/registry.hpp"
 #include "policy/shootout.hpp"

@@ -7,8 +7,8 @@
 #include <stdexcept>
 
 #include "chaos/runner.hpp"
-#include "core/builder.hpp"
 #include "core/system.hpp"
+#include "policy/deployment.hpp"
 
 namespace {
 
@@ -98,7 +98,7 @@ TEST(ChaosRunner, RejectsInvalidCampaignConfig) {
 // --- the builder ------------------------------------------------------------
 
 TEST(DrsSystemBuilder, BuildsARunningClusterInOneExpression) {
-  auto cluster = core::DrsSystemBuilder()
+  auto cluster = policy::DrsSystemBuilder()
                      .node_count(6)
                      .probe_interval(50_ms)
                      .probe_timeout(20_ms)
@@ -113,7 +113,7 @@ TEST(DrsSystemBuilder, KnobCallsOverrideBaseConfig) {
   core::DrsConfig base;
   base.probe_interval = 200_ms;
   base.probe_timeout = 80_ms;
-  auto cluster = core::DrsSystemBuilder()
+  auto cluster = policy::DrsSystemBuilder()
                      .node_count(4)
                      .config(base)
                      .allow_relay(false)
@@ -125,7 +125,7 @@ TEST(DrsSystemBuilder, KnobCallsOverrideBaseConfig) {
 TEST(DrsSystemBuilder, PreSeededFailuresAreInForceBeforeStart) {
   // Node 1's primary NIC is dead from the first probe cycle: the cluster
   // comes up already degraded and DRS pins 0->1 to the secondary network.
-  auto cluster = core::DrsSystemBuilder()
+  auto cluster = policy::DrsSystemBuilder()
                      .node_count(4)
                      .probe_interval(50_ms)
                      .probe_timeout(20_ms)
@@ -138,7 +138,7 @@ TEST(DrsSystemBuilder, PreSeededFailuresAreInForceBeforeStart) {
 }
 
 TEST(DrsSystemBuilder, ThrowsOnInvalidConfiguration) {
-  EXPECT_THROW(core::DrsSystemBuilder()
+  EXPECT_THROW(policy::DrsSystemBuilder()
                    .node_count(4)
                    .probe_timeout(2_s)  // above the 100 ms default interval
                    .build(),
@@ -147,7 +147,7 @@ TEST(DrsSystemBuilder, ThrowsOnInvalidConfiguration) {
 
 TEST(DrsSystemBuilder, AutoStartOffLeavesDaemonsIdle) {
   auto cluster =
-      core::DrsSystemBuilder().node_count(4).auto_start(false).build();
+      policy::DrsSystemBuilder().node_count(4).auto_start(false).build();
   cluster.simulator().run_for(1_s);
   EXPECT_EQ(cluster.system().total_probes_sent(), 0u);
   cluster.system().start();
@@ -158,7 +158,7 @@ TEST(DrsSystemBuilder, AutoStartOffLeavesDaemonsIdle) {
 // --- DrsSystemBuilder::with_policy ------------------------------------------
 
 TEST(DrsSystemBuilderPolicy, BuildsAnyRegisteredPolicyByName) {
-  auto cluster = core::DrsSystemBuilder()
+  auto cluster = policy::DrsSystemBuilder()
                      .node_count(6)
                      .with_policy("static_resilient")
                      .build();
@@ -169,7 +169,7 @@ TEST(DrsSystemBuilderPolicy, BuildsAnyRegisteredPolicyByName) {
 }
 
 TEST(DrsSystemBuilderPolicy, DrsByNameStillExposesTheSystem) {
-  auto cluster = core::DrsSystemBuilder()
+  auto cluster = policy::DrsSystemBuilder()
                      .node_count(4)
                      .with_policy("drs")
                      .probe_interval(50_ms)
@@ -184,7 +184,7 @@ TEST(DrsSystemBuilderPolicy, DrsByNameStillExposesTheSystem) {
 
 TEST(DrsSystemBuilderPolicy, UnknownNameListsRegisteredNames) {
   try {
-    (void)core::DrsSystemBuilder().with_policy("bgp").build();
+    (void)policy::DrsSystemBuilder().with_policy("bgp").build();
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     const std::string what = error.what();
@@ -197,7 +197,7 @@ TEST(DrsSystemBuilderPolicy, UnknownNameListsRegisteredNames) {
 TEST(DrsSystemBuilderPolicy, InvalidPolicyParamsRejected) {
   policy::PolicyParams params;
   params.alternate_path.notify_delay = util::Duration::zero();
-  EXPECT_THROW(core::DrsSystemBuilder()
+  EXPECT_THROW(policy::DrsSystemBuilder()
                    .with_policy("alternate_path", params)
                    .build(),
                std::invalid_argument);
@@ -205,13 +205,13 @@ TEST(DrsSystemBuilderPolicy, InvalidPolicyParamsRejected) {
 
 TEST(DrsSystemBuilderPolicy, SystemAccessorThrowsWithoutDrs) {
   auto cluster =
-      core::DrsSystemBuilder().node_count(4).with_policy("static").build();
+      policy::DrsSystemBuilder().node_count(4).with_policy("static").build();
   EXPECT_THROW(cluster.system(), std::logic_error);
 }
 
 TEST(DrsSystemBuilderPolicy, DefaultBuildRunsDrsThroughTheRegistry) {
   // No with_policy(): the one construction path picks "drs" by name.
-  auto cluster = core::DrsSystemBuilder().node_count(4).build();
+  auto cluster = policy::DrsSystemBuilder().node_count(4).build();
   EXPECT_TRUE(cluster.has_system());
   EXPECT_STREQ(cluster.policy().name(), "drs");
   cluster.settle(1_s);
@@ -223,7 +223,7 @@ TEST(DrsSystemBuilderPolicy, DefaultBuildRunsDrsThroughTheRegistry) {
 TEST(DrsSystemBuilderPolicy, PreSeededFailureVisibleToPrecomputedPolicy) {
   // static_resilient resolves at start() against the already-failed NIC:
   // 0 -> 1 must come up routed over network B with zero protocol traffic.
-  auto cluster = core::DrsSystemBuilder()
+  auto cluster = policy::DrsSystemBuilder()
                      .node_count(4)
                      .with_policy("static_resilient")
                      .fail_component(net::ClusterNetwork::nic_component(1, 0))

@@ -10,7 +10,6 @@
 
 #include "cluster/fleet.hpp"
 #include "cluster/partition.hpp"
-#include "core/builder.hpp"
 #include "core/system.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
