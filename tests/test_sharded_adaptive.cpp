@@ -81,14 +81,13 @@ std::string semantic_only(std::string json) {
 }
 
 void schedule_mixed_outages(cluster::ShardedFleet& fleet) {
-  fleet.schedule_component_failure(at_ms(120),
-                                   fleet.relay_backplane_component(), true);
-  fleet.schedule_component_failure(at_ms(180),
-                                   fleet.relay_backplane_component(), false);
-  fleet.schedule_component_failure(at_ms(250), fleet.gateway_component(1),
-                                   true);
-  fleet.schedule_component_failure(at_ms(400), fleet.gateway_component(1),
-                                   false);
+  const net::ComponentIndex relay =
+      fleet.components().relay_backplane_component();
+  const net::ComponentIndex gateway1 = fleet.components().gateway_component(1);
+  fleet.schedule_component_failure(at_ms(120), relay, true);
+  fleet.schedule_component_failure(at_ms(180), relay, false);
+  fleet.schedule_component_failure(at_ms(250), gateway1, true);
+  fleet.schedule_component_failure(at_ms(400), gateway1, false);
 }
 
 FleetRun run_fleet(std::uint32_t shards, sim::Ordering ordering,
@@ -194,8 +193,9 @@ TEST(ShardedAdaptive, CounterEqualMatchesLegacyTotals) {
     net::ComponentIndex component;
     bool fail;
   };
-  const net::ComponentIndex relay = legacy.relay_backplane_component();
-  const net::ComponentIndex gateway1 = legacy.gateway_component(1);
+  const net::ComponentIndex relay =
+      legacy.components().relay_backplane_component();
+  const net::ComponentIndex gateway1 = legacy.components().gateway_component(1);
   for (const Action& action :
        {Action{at_ms(120), relay, true}, Action{at_ms(180), relay, false},
         Action{at_ms(250), gateway1, true},
