@@ -1,30 +1,40 @@
 // Differential proof that the sharded fleet is byte-identical to the legacy
-// single-queue fleet at every shard count.
+// single-queue fleet at every shard count, frozen into a golden.
 //
 // Every scenario runs once on a legacy cluster::Fleet (one Simulator, one
-// tracer — the oracle) and once per shard count in {1, 2, 4, 8} on a
+// tracer) and once per shard count in {1, 2, 4, 8} on a
 // cluster::ShardedFleet, with identical configs and identical injection
-// schedules. The comparison is the strongest the topology admits:
-//   - the full protocol trace (every TraceEventKind except kQueueHighWater,
-//     which reports per-queue occupancy and is per-shard by design),
-//     serialized to canonical JSON and compared as bytes — send instants,
-//     ordering, and payload fields must match to the nanosecond;
-//   - the full metric snapshot minus the sim./arena./shard. prefixes (event
-//     slots, arena chunks and friends measure per-queue populations, which
-//     sharding intentionally changes);
-//   - probe totals and the pristine flag.
+// schedules. Each run reduces to one line of tests/golden/fleet_corpus.txt,
+// generated from the legacy runs, and every run must reproduce it exactly:
+//   - the protocol-trace event count and per-kind counts, and the FNV-1a-64
+//     of the canonical trace JSON (every TraceEventKind except
+//     kQueueHighWater, which reports per-queue occupancy and is per-shard by
+//     design) — send instants, ordering, and payload fields must match to
+//     the nanosecond;
+//   - the FNV-1a-64 of the metric snapshot minus the sim./arena./shard./
+//     engine. prefixes (event slots, arena chunks and friends measure
+//     per-queue populations, which sharding intentionally changes);
+//   - the probe total and the pristine flag.
 //
-// The corpus covers 20 scenarios across four shapes: healthy fleets of
+// The corpus covers 22 scenarios across four shapes: healthy fleets of
 // varying geometry, targeted component failures (cluster NICs and
-// backplanes, gateway NICs, the shared relay hub — failed and healed),
-// seeded chaos schedules over the fleet's flat component space, and the
-// 27-cluster fleet_smoke deployment shape. docs/SHARDING.md explains why
-// equality is exact rather than statistical.
+// backplanes, gateway NICs, the shared relay hub — failed and healed — and
+// a lossy relay, alone and with an outage), seeded chaos schedules over the
+// fleet's flat component space, and the 27-cluster fleet_smoke deployment
+// shape. docs/SHARDING.md explains why equality is exact rather than
+// statistical.
+//
+// To regenerate from the legacy runs (only for an intentional protocol
+// change):
+//   DRS_UPDATE_GOLDEN=1 ./build/tests/test_sharded_differential
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/campaign.hpp"
@@ -36,9 +46,12 @@
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/simulator.hpp"
+#include "util/hash.hpp"
 
 namespace drs {
 namespace {
+
+constexpr const char* kGoldenName = "fleet_corpus.txt";
 
 // Every trace kind except kQueueHighWater (see the file comment).
 std::vector<obs::TraceEvent> protocol_events(
@@ -78,28 +91,93 @@ std::string strip_metric_prefixes(std::string json) {
   return json;
 }
 
-/// Everything one fleet run exposes to comparison.
-struct Observed {
-  std::string trace_json;    // canonical JSON of protocol_events
-  std::string metrics_json;  // registry snapshot minus sim./arena./shard.
-  std::uint64_t probes_sent = 0;
-  bool pristine = false;
-};
+/// "events=<n> kinds=<kind>:<count>,..." over the protocol trace (kinds in
+/// enum order, zero counts omitted), then the canonical JSON's FNV-1a-64.
+std::string trace_summary(const std::vector<obs::TraceEvent>& events) {
+  std::map<obs::TraceEventKind, std::size_t> counts;
+  for (const obs::TraceEvent& e : events) ++counts[e.kind];
+  std::string out = "events=" + std::to_string(events.size()) + " kinds=";
+  bool first = true;
+  for (const auto& [kind, count] : counts) {
+    if (!first) out += ',';
+    first = false;
+    out += obs::to_string(kind);
+    out += ':' + std::to_string(count);
+  }
+  out += " trace_fnv=" +
+         util::to_hex64(util::fnv1a64(obs::to_canonical_json(events)));
+  return out;
+}
 
-/// Byte compare with a readable first-divergence excerpt instead of GTest's
-/// full-string dump (the traces run to megabytes).
-void expect_same_bytes(const std::string& legacy, const std::string& sharded,
-                       const std::string& label, const char* what) {
-  if (legacy == sharded) return;
-  const std::size_t n = std::min(legacy.size(), sharded.size());
-  std::size_t i = 0;
-  while (i < n && legacy[i] == sharded[i]) ++i;
-  const std::size_t begin = i > 60 ? i - 60 : 0;
-  ADD_FAILURE() << label << ": " << what << " diverges at byte " << i
-                << " (legacy " << legacy.size() << "B, sharded "
-                << sharded.size() << "B)\n  legacy : ..."
-                << legacy.substr(begin, 120) << "\n  sharded: ..."
-                << sharded.substr(begin, 120);
+/// One scenario's corpus line: "<label> events=... kinds=... trace_fnv=...
+/// metrics_fnv=... probes_sent=... pristine=...".
+std::string corpus_line(const std::string& label,
+                        const std::vector<obs::TraceEvent>& trace,
+                        const obs::MetricRegistry& registry,
+                        std::uint64_t probes_sent, bool pristine) {
+  return label + ' ' + trace_summary(protocol_events(trace)) +
+         " metrics_fnv=" +
+         util::to_hex64(
+             util::fnv1a64(strip_metric_prefixes(registry.to_json()))) +
+         " probes_sent=" + std::to_string(probes_sent) +
+         " pristine=" + (pristine ? "1" : "0");
+}
+
+std::string golden_path() {
+  return std::string(DRS_GOLDEN_DIR) + "/" + kGoldenName;
+}
+
+bool updating() {
+  const char* update = std::getenv("DRS_UPDATE_GOLDEN");
+  return update != nullptr && *update != '\0';
+}
+
+std::string label_of(const std::string& line) {
+  return line.substr(0, line.find(' '));
+}
+
+/// The golden file's lines as (label, line), in file order.
+std::vector<std::pair<std::string, std::string>> read_golden() {
+  std::vector<std::pair<std::string, std::string>> lines;
+  std::ifstream in(golden_path(), std::ios::binary);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    lines.emplace_back(label_of(line), line);
+  }
+  return lines;
+}
+
+/// Rewrites `line`'s entry in the golden file (appending a new label), so
+/// the four cases regenerate the file in corpus order.
+void update_golden(const std::string& line) {
+  auto lines = read_golden();
+  const std::string label = label_of(line);
+  bool replaced = false;
+  for (auto& [l, text] : lines) {
+    if (l == label) {
+      text = line;
+      replaced = true;
+    }
+  }
+  if (!replaced) lines.emplace_back(label, line);
+  std::ofstream out(golden_path(), std::ios::binary);
+  ASSERT_TRUE(out) << "cannot write " << golden_path();
+  for (const auto& [l, text] : lines) out << text << '\n';
+}
+
+/// Checks one run's line against the scenario's golden line; `run` names
+/// the execution path in the failure message.
+void expect_golden(const std::string& line, const std::string& run) {
+  const std::string label = label_of(line);
+  for (const auto& [l, text] : read_golden()) {
+    if (l == label) {
+      EXPECT_EQ(line, text) << run << " drifted from " << golden_path();
+      return;
+    }
+  }
+  ADD_FAILURE() << "no line for " << label << " in " << golden_path()
+                << " — regenerate with DRS_UPDATE_GOLDEN=1";
 }
 
 struct Scenario {
@@ -118,7 +196,7 @@ cluster::FleetConfig fleet_config(std::uint16_t clusters,
   return config;
 }
 
-Observed run_legacy(const Scenario& scenario) {
+std::string run_legacy(const Scenario& scenario) {
   sim::Simulator sim;
   obs::Tracer tracer(std::size_t{1} << 20);
   sim.set_tracer(&tracer);
@@ -135,17 +213,13 @@ Observed run_legacy(const Scenario& scenario) {
   sim.run_until(util::SimTime::zero() + scenario.run);
   EXPECT_EQ(tracer.evicted(), 0u)
       << scenario.name << ": legacy ring too small for a full-trace compare";
-  Observed observed;
-  observed.trace_json = obs::to_canonical_json(protocol_events(tracer.events()));
   obs::MetricRegistry registry;
   fleet.collect_metrics(registry);
-  observed.metrics_json = strip_metric_prefixes(registry.to_json());
-  observed.probes_sent = fleet.total_probes_sent();
-  observed.pristine = fleet.all_pristine();
-  return observed;
+  return corpus_line(scenario.name, tracer.events(), registry,
+                     fleet.total_probes_sent(), fleet.all_pristine());
 }
 
-Observed run_sharded(const Scenario& scenario, std::uint32_t shards) {
+std::string run_sharded(const Scenario& scenario, std::uint32_t shards) {
   cluster::ShardedFleetConfig config;
   config.fleet = scenario.fleet;
   config.shards = shards;
@@ -162,28 +236,20 @@ Observed run_sharded(const Scenario& scenario, std::uint32_t shards) {
   // default, and no cross-shard arrival may land in sim-time its destination
   // shard could already have executed past.
   EXPECT_GE(fleet.engine().min_foreign_margin_ns(), 0) << scenario.name;
-  Observed observed;
-  observed.trace_json =
-      obs::to_canonical_json(protocol_events(fleet.merged_trace()));
   obs::MetricRegistry registry;
   fleet.collect_metrics(registry);
-  observed.metrics_json = strip_metric_prefixes(registry.to_json());
-  observed.probes_sent = fleet.total_probes_sent();
-  observed.pristine = fleet.all_pristine();
-  return observed;
+  return corpus_line(scenario.name, fleet.merged_trace(), registry,
+                     fleet.total_probes_sent(), fleet.all_pristine());
 }
 
 void run_scenario(const Scenario& scenario) {
   SCOPED_TRACE(scenario.name);
-  const Observed legacy = run_legacy(scenario);
+  const std::string legacy = run_legacy(scenario);
+  if (updating()) update_golden(legacy);
+  expect_golden(legacy, "legacy Fleet");
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    const std::string label = scenario.name + " @" + std::to_string(shards);
-    const Observed sharded = run_sharded(scenario, shards);
-    expect_same_bytes(legacy.trace_json, sharded.trace_json, label, "trace");
-    expect_same_bytes(legacy.metrics_json, sharded.metrics_json, label,
-                      "metrics");
-    EXPECT_EQ(legacy.probes_sent, sharded.probes_sent) << label;
-    EXPECT_EQ(legacy.pristine, sharded.pristine) << label;
+    expect_golden(run_sharded(scenario, shards),
+                  "ShardedFleet @" + std::to_string(shards));
   }
 }
 
@@ -206,7 +272,7 @@ TEST(ShardedDifferential, HealthyFleets) {
                 util::Duration::millis(500)});
 }
 
-// -- shape 2: targeted component failures (7 scenarios) ----------------------
+// -- shape 2: targeted component failures (9 scenarios) ----------------------
 
 TEST(ShardedDifferential, TargetedFailures) {
   {
@@ -257,6 +323,24 @@ TEST(ShardedDifferential, TargetedFailures) {
                util::Duration::millis(1500)};
     const net::ComponentIndex relay = 3u * (2u * 4u + 2u) + 3u;
     s.actions = {{at_ms(600), relay, true}};
+    run_scenario(s);
+  }
+  {
+    // A lossy relay hub: the oracle must draw the loss RNG in exactly the
+    // legacy transmit order for every lost echo to match.
+    Scenario s{"relay-lossy", fleet_config(4, 4), {},
+               util::Duration::millis(1800)};
+    s.fleet.relay_backplane.frame_loss_rate = 0.05;
+    run_scenario(s);
+  }
+  {
+    // The same lossy hub dies and heals: loss draws stop while it is down
+    // (failed offers drop before the draw) and resume after the heal.
+    Scenario s{"relay-lossy-outage", fleet_config(4, 4), {},
+               util::Duration::millis(1800)};
+    s.fleet.relay_backplane.frame_loss_rate = 0.05;
+    const net::ComponentIndex relay = 4u * (2u * 4u + 2u) + 4u;
+    s.actions = {{at_ms(400), relay, true}, {at_ms(900), relay, false}};
     run_scenario(s);
   }
   {
