@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace drs::sim {
 
@@ -167,14 +169,24 @@ void ShardedEngine::drain_setup_segment(std::uint32_t shard_index) {
   const std::uint64_t base = sh.journal.trace_drained;
   const std::uint64_t total = sh.tracer.emitted();
   if (total == base) return;
-  assert(base >= sh.tracer.evicted() &&
-         "tracer evicted undrained setup events; raise Options::trace_capacity");
+  if (sh.tracer.evicted() > base) {
+    throw_ring_overflow({shard_index, total - base, "setup segment"});
+  }
   std::uint64_t index = sh.tracer.evicted();
   sh.tracer.for_each([&](const obs::TraceEvent& event) {
     if (index++ >= base) merged_.push_back(event);
   });
   sh.journal.trace_drained = total;
   sh.tracer.clear();
+}
+
+void ShardedEngine::throw_ring_overflow(const RingOverflow& overflow) const {
+  throw std::length_error(
+      "sharded engine: shard " + std::to_string(overflow.shard) + " emitted " +
+      std::to_string(overflow.events) + " trace events in one " +
+      overflow.span + ", more than its trace_capacity of " +
+      std::to_string(options_.trace_capacity) +
+      "; raise trace_capacity or cap max_window_ns");
 }
 
 void ShardedEngine::end_setup() {
@@ -373,8 +385,12 @@ void ShardedEngine::merge_window(std::int64_t start_ns, std::int64_t end_ns) {
     Shard& sh = *shards_[s];
     sh.window_trace_base = sh.journal.trace_drained;
     const std::uint64_t total = sh.tracer.emitted();
-    assert(sh.window_trace_base >= sh.tracer.evicted() &&
-           "tracer evicted undrained events; raise Options::trace_capacity");
+    if (sh.tracer.evicted() > sh.window_trace_base) {
+      // The ring dropped events this window has not drained: the spans
+      // below would index past window_events. run_until reports it.
+      ring_overflow_ = RingOverflow{s, total - sh.window_trace_base, "window"};
+      return;
+    }
     sh.window_events.clear();
     if (total > sh.window_trace_base) {
       std::uint64_t index = sh.tracer.evicted();
@@ -499,6 +515,7 @@ void ShardedEngine::run_until(util::SimTime deadline) {
     }
 
     merge_window(w_start, w_end);
+    if (ring_overflow_) throw_ring_overflow(*ring_overflow_);
     ++windows_run_;
     if (options_.record_window_spans) {
       // drs-lint: hotpath-purity-ok(output: one span per window, the deliverable of Options::record_window_spans)

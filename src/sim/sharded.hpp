@@ -220,9 +220,11 @@ class ShardedEngine {
     /// Window length floor = minimum cross-shard latency, in ns. For the
     /// fleet this is the relay backplane's propagation delay.
     std::int64_t lookahead_ns = 5000;
-    /// 0 skips tracer attachment entirely (no per-shard rings, no merged
-    /// trace) — the fair configuration for benchmarking against an untraced
-    /// legacy run.
+    /// Per-shard tracer ring capacity. 0 skips tracer attachment entirely
+    /// (no per-shard rings, no merged trace), the configuration for
+    /// benchmarking. In traced runs each window's and each setup segment's
+    /// emissions must fit one ring: the engine throws std::length_error
+    /// naming the shard otherwise, rather than merge a trace with a hole.
     std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
     /// Property-test hook: record window-containment violations and the
     /// minimum cross-shard arrival margin instead of trusting the proof.
@@ -409,6 +411,15 @@ class ShardedEngine {
   void execute_window(Shard& shard, std::int64_t start_ns, std::int64_t end_ns);
   void merge_window(std::int64_t start_ns, std::int64_t end_ns);
   void drain_setup_segment(std::uint32_t shard);
+  /// A shard's ring evicted trace events not yet drained into the merged
+  /// trace. merge_window records it (the merge stays exception-free) and
+  /// run_until throws it.
+  struct RingOverflow {
+    std::uint32_t shard = 0;
+    std::uint64_t events = 0;  // emitted in the span, evicted ones included
+    const char* span = "";
+  };
+  [[noreturn]] void throw_ring_overflow(const RingOverflow& overflow) const;
   void sort_inboxes();
   void worker_loop(std::uint32_t shard);
   void start_workers();
@@ -436,6 +447,7 @@ class ShardedEngine {
   std::vector<obs::TraceEvent> merged_;
   std::vector<std::pair<std::uint32_t, std::size_t>> merge_order_;  // scratch
   std::vector<std::size_t> merge_pos_;                              // scratch
+  std::optional<RingOverflow> ring_overflow_;
   std::uint64_t windows_run_ = 0;
   std::uint64_t windows_coalesced_ = 0;
   std::vector<obs::WindowSpan> spans_;

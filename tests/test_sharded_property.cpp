@@ -8,7 +8,9 @@
 //   - the merged trace is globally time-ordered (gseq order refines time
 //     order, so a sorted merge is an invariant, not a post-processing step);
 //   - GlobalEventId keeps identities distinct across shard namespaces even
-//     where per-queue 32-bit generations wrap and local ids collide.
+//     where per-queue 32-bit generations wrap and local ids collide;
+//   - a window that overflows a shard's trace ring fails the run instead of
+//     merging a trace with a hole in it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -231,6 +233,25 @@ TEST(ShardedProperty, InjectionOutsideSetupThrows) {
   EXPECT_FALSE(
       fleet.component_failed(fleet.components().gateway_component(1)));
   EXPECT_TRUE(fleet.all_pristine());
+}
+
+TEST(ShardedProperty, TraceRingOverflowThrowsNamingTheShard) {
+  // A window's emissions must fit the shard's ring until the merge drains
+  // them; a ring of 2 overflows in the first busy window, and the run must
+  // fail loudly instead of merging a trace with a hole in it.
+  cluster::ShardedFleetConfig config = small_fleet();
+  config.trace_capacity = 2;
+  try {
+    cluster::ShardedFleet fleet(config);
+    fleet.start();
+    fleet.run_until(util::SimTime::zero() + util::Duration::millis(200));
+    ADD_FAILURE() << "a run that overflowed its trace ring completed";
+  } catch (const std::length_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("shard "), std::string::npos) << what;
+    EXPECT_NE(what.find("trace events in one"), std::string::npos) << what;
+    EXPECT_NE(what.find("trace_capacity of 2"), std::string::npos) << what;
+  }
 }
 
 TEST(ShardedProperty, ClusterCountOutsideRangeRejected) {
