@@ -12,6 +12,7 @@
 // and for warm vs cold caches; the trailing summary line reports the cache
 // hit rate (CI asserts >= 90% on the second of two identical runs).
 #include <cstdio>
+#include <exception>
 
 #include "exp/cli.hpp"
 
@@ -68,7 +69,15 @@ int main(int argc, char** argv) {
   spec.grid = *grid;
   cli->apply(spec);
 
-  const auto result = exp::run_experiment(spec, cli->engine);
+  exp::ExperimentResult result;
+  try {
+    result = exp::run_experiment(spec, cli->engine);
+  } catch (const std::exception& e) {
+    // A cell that rejects its parameters (say, an out-of-range axis) throws;
+    // report it like a spec error instead of terminating.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.error.c_str());
     return 1;

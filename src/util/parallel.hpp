@@ -9,8 +9,11 @@
 // the estimator tests and the chaos replay workflow rely on.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -30,6 +33,12 @@ inline unsigned resolve_threads(unsigned requested, std::uint64_t jobs) {
 /// handed out through an atomic counter, so scheduling is work-stealing but
 /// the output vector is identical for any thread count as long as fn is a
 /// pure function of its index.
+///
+/// A throwing job reaches the caller: once any job throws, no further jobs
+/// are handed out, and after the join the exception of the lowest index
+/// that threw is rethrown. Every index below a thrower was already handed
+/// out when it threw and runs to completion, so that is the same exception
+/// at any thread count (the one a sequential loop would raise first).
 template <typename Fn>
 auto run_indexed_jobs(std::uint64_t count, unsigned threads, Fn&& fn)
     -> std::vector<decltype(fn(std::uint64_t{0}))> {
@@ -42,18 +51,33 @@ auto run_indexed_jobs(std::uint64_t count, unsigned threads, Fn&& fn)
     return results;
   }
   std::atomic<std::uint64_t> next{0};
+  std::atomic<bool> failed{false};
+  // Written only when a job throws, under the mutex.
+  std::mutex error_mutex;
+  std::uint64_t error_index = count;
+  std::exception_ptr error;
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
     workers.emplace_back([&] {
-      while (true) {
+      while (!failed.load(std::memory_order_relaxed)) {
         const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) break;
-        results[i] = fn(i);
+        try {
+          results[i] = fn(i);
+        } catch (...) {
+          const std::lock_guard<std::mutex> lock(error_mutex);
+          if (i < error_index) {
+            error_index = i;
+            error = std::current_exception();
+          }
+          failed.store(true, std::memory_order_relaxed);
+        }
       }
     });
   }
   for (auto& worker : workers) worker.join();
+  if (error) std::rethrow_exception(error);
   return results;
 }
 

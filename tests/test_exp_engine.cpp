@@ -331,6 +331,26 @@ TEST(Engine, FleetSmokeRejectsOutOfRangeAxesNamingTheField) {
   }
 }
 
+TEST(Engine, ThrowingCellInAThreadedGridReachesTheCaller) {
+  // One bad cell in a multi-cell grid on 4 threads: its
+  // std::invalid_argument must reach the caller, naming the field, instead
+  // of ending the process from a worker thread.
+  exp::ExperimentSpec spec;
+  spec.family = "fleet_smoke";
+  spec.grid.ints("clusters", {2, 3, 0, 4});
+  spec.grid.ints("n", {3});
+  spec.grid.ints("run_ms", {10});
+  exp::EngineOptions options;
+  options.threads = 4;
+  try {
+    const auto result = exp::run_experiment(spec, options);
+    ADD_FAILURE() << "clusters=0 accepted (error: '" << result.error << "')";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("`clusters`"), std::string::npos) << what;
+  }
+}
+
 TEST(Engine, EveryRegisteredFamilyRunsItsSmallestCell) {
   // Smoke-run each family on a tiny grid so a scenario that stops compiling
   // against its model is caught here, not in a long bench run.

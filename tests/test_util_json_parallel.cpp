@@ -3,11 +3,15 @@
 // estimator and the chaos runner).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/json.hpp"
@@ -97,6 +101,47 @@ TEST(RunIndexedJobs, EdgeCounts) {
   // More threads than jobs must not deadlock or duplicate work.
   const auto few = run_indexed_jobs(3, 16, [](std::uint64_t i) { return i; });
   EXPECT_EQ(std::accumulate(few.begin(), few.end(), std::uint64_t{0}), 3u);
+}
+
+TEST(RunIndexedJobs, LowestThrowingJobReachesTheCaller) {
+  // Jobs 5 and 9 throw; whichever thread hits its job first, the caller
+  // gets job 5's exception, as a sequential loop would raise it.
+  for (int round = 0; round < 20; ++round) {
+    try {
+      (void)run_indexed_jobs(64, 4, [](std::uint64_t i) {
+        if (i == 5 || i == 9) {
+          throw std::runtime_error("job " + std::to_string(i));
+        }
+        return i;
+      });
+      ADD_FAILURE() << "no exception reached the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "job 5") << "round " << round;
+    }
+  }
+}
+
+TEST(RunIndexedJobs, NoJobsHandedOutAfterAThrow) {
+  // Job 0 throws; every other job waits until it has, so at most one job
+  // per worker starts before the throw and only a few slip in while the
+  // failure is being recorded — never the remaining thousands.
+  std::atomic<bool> thrown{false};
+  std::atomic<std::uint64_t> started{0};
+  EXPECT_THROW(
+      (void)run_indexed_jobs(10000, 4,
+                             [&](std::uint64_t i) {
+                               started.fetch_add(1);
+                               if (i == 0) {
+                                 thrown.store(true);
+                                 throw std::runtime_error("job 0");
+                               }
+                               while (!thrown.load()) std::this_thread::yield();
+                               std::this_thread::sleep_for(
+                                   std::chrono::microseconds(100));
+                               return i;
+                             }),
+      std::runtime_error);
+  EXPECT_LT(started.load(), 1000u);
 }
 
 TEST(ResolveThreads, NeverExceedsJobsAndNeverZero) {
