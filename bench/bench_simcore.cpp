@@ -9,12 +9,12 @@
 //               N=254, the largest cluster the addressing plan holds,
 //               stresses the batched sweep far past the deployed scale
 //   fleet       the paper's whole deployment — 27 clusters of 8 plus the
-//               inter-cluster relay mesh — on one simulator, then the same
-//               shape on the sharded engine at 1/2/4/8 shards in both
+//               inter-cluster relay mesh — at 1/2/4/8 shards in both
 //               ordering lanes (plus a dense 8x64 variant): sim_events must
 //               agree exactly across all of them — the determinism contract
-//               surfacing as a bench invariant — while events/s charts the
-//               window overhead; windows charts adaptive coalescing
+//               surfacing as a bench invariant, checked before the report
+//               is written — while events/s charts the window overhead and
+//               windows charts adaptive coalescing
 //   chaos batch a sequential slice of the chaos-campaign family, i.e. the
 //               workload the survivability results are produced by
 //
@@ -22,7 +22,8 @@
 //
 // Event counts are deterministic per shape; wall-clock numbers obviously are
 // not. The checked-in BENCH_simcore.json is the perf baseline CI compares
-// fresh runs against (probe-storm N=90 events/s, >25% regression fails).
+// fresh runs against (the median of three runs per gated tier; a >25%
+// regression fails). A fleet tier whose rows disagree on sim_events exits 1.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -33,7 +34,6 @@
 
 #include "chaos/campaign.hpp"
 #include "chaos/runner.hpp"
-#include "cluster/fleet.hpp"
 #include "cluster/partition.hpp"
 #include "core/system.hpp"
 #include "net/network.hpp"
@@ -149,42 +149,7 @@ StormNumbers run_probe_storm(std::uint16_t nodes, util::Duration span) {
   return numbers;
 }
 
-// --- tier 3: fleet topology -------------------------------------------------
-
-struct FleetNumbers {
-  std::uint16_t clusters = 0;
-  std::uint16_t nodes_per_cluster = 0;
-  std::uint64_t sim_events = 0;
-  double wall_seconds = 0.0;
-  double events_per_sec = 0.0;
-};
-
-FleetNumbers run_fleet(std::uint16_t clusters, std::uint16_t nodes,
-                       util::Duration span) {
-  sim::Simulator sim;
-  cluster::FleetConfig config;
-  config.clusters = clusters;
-  config.nodes_per_cluster = nodes;
-  cluster::Fleet fleet(sim, config);
-  fleet.start();
-  const double t0 = now_seconds();
-  fleet.settle(span);
-  const double t1 = now_seconds();
-  fleet.stop();
-
-  FleetNumbers numbers;
-  numbers.clusters = clusters;
-  numbers.nodes_per_cluster = nodes;
-  numbers.sim_events = sim.executed_events();
-  numbers.wall_seconds = t1 - t0;
-  numbers.events_per_sec =
-      numbers.wall_seconds > 0.0
-          ? static_cast<double>(numbers.sim_events) / numbers.wall_seconds
-          : 0.0;
-  return numbers;
-}
-
-// --- tier 3b: sharded fleet ---------------------------------------------------
+// --- tier 3: fleet topology ------------------------------------------------
 
 struct ShardedFleetNumbers {
   std::uint32_t shards = 0;
@@ -204,8 +169,8 @@ ShardedFleetNumbers run_fleet_sharded(std::uint16_t clusters,
   config.fleet.clusters = clusters;
   config.fleet.nodes_per_cluster = nodes;
   config.shards = shards;
-  // Untraced on purpose: the legacy fleet above runs without a tracer, so
-  // the A/B measures engine overhead, not ring-buffer writes.
+  // Untraced on purpose: the tiers measure engine overhead, not ring-buffer
+  // writes.
   config.trace_capacity = 0;
   config.ordering = ordering;
   cluster::ShardedFleet fleet(config);
@@ -226,6 +191,24 @@ ShardedFleetNumbers run_fleet_sharded(std::uint16_t clusters,
           ? static_cast<double>(numbers.sim_events) / numbers.wall_seconds
           : 0.0;
   return numbers;
+}
+
+/// True when every row of a fleet tier executed the same number of events;
+/// prints the first disagreeing row otherwise.
+bool rows_agree(const char* tier,
+                const std::vector<ShardedFleetNumbers>& rows) {
+  for (const ShardedFleetNumbers& run : rows) {
+    if (run.sim_events == rows.front().sim_events) continue;
+    std::fprintf(stderr,
+                 "%s: %s@%u executed %llu events but %s@%u executed %llu; "
+                 "the shard count or lane changed the simulation\n",
+                 tier, rows.front().ordering, rows.front().shards,
+                 static_cast<unsigned long long>(rows.front().sim_events),
+                 run.ordering, run.shards,
+                 static_cast<unsigned long long>(run.sim_events));
+    return false;
+  }
+  return true;
 }
 
 // --- tier 4: chaos-campaign batch -------------------------------------------
@@ -261,14 +244,12 @@ ChaosNumbers run_chaos_batch(std::uint64_t seed, std::uint64_t campaigns) {
 
 std::string to_json(const QueueNumbers& queue,
                     const std::vector<StormNumbers>& storms,
-                    const FleetNumbers& fleet,
                     const std::vector<ShardedFleetNumbers>& sharded,
-                    const FleetNumbers& fleet_dense,
                     const std::vector<ShardedFleetNumbers>& sharded_dense,
                     const ChaosNumbers& chaos_batch) {
   util::JsonWriter json;
   json.begin_object();
-  json.field("schema", "bench_simcore.v4");
+  json.field("schema", "bench_simcore.v5");
   json.key("queue");
   json.begin_object()
       .field("push_pop_ns_per_event", queue.push_pop_ns)
@@ -286,15 +267,6 @@ std::string to_json(const QueueNumbers& queue,
         .end_object();
   }
   json.end_array();
-  json.key("fleet");
-  json.begin_object()
-      .field("clusters", static_cast<std::uint64_t>(fleet.clusters))
-      .field("nodes_per_cluster",
-             static_cast<std::uint64_t>(fleet.nodes_per_cluster))
-      .field("sim_events", fleet.sim_events)
-      .field("wall_seconds", fleet.wall_seconds)
-      .field("events_per_sec", fleet.events_per_sec)
-      .end_object();
   json.key("fleet_sharded");
   json.begin_array();
   for (const ShardedFleetNumbers& run : sharded) {
@@ -308,15 +280,6 @@ std::string to_json(const QueueNumbers& queue,
         .end_object();
   }
   json.end_array();
-  json.key("fleet_dense");
-  json.begin_object()
-      .field("clusters", static_cast<std::uint64_t>(fleet_dense.clusters))
-      .field("nodes_per_cluster",
-             static_cast<std::uint64_t>(fleet_dense.nodes_per_cluster))
-      .field("sim_events", fleet_dense.sim_events)
-      .field("wall_seconds", fleet_dense.wall_seconds)
-      .field("events_per_sec", fleet_dense.events_per_sec)
-      .end_object();
   json.key("fleet_sharded_dense");
   json.begin_array();
   for (const ShardedFleetNumbers& run : sharded_dense) {
@@ -423,18 +386,10 @@ int main(int argc, char** argv) {
   util::export_table_csv("simcore_probe_storm", table);
   std::printf("%s\n", table.to_text().c_str());
 
-  const FleetNumbers fleet =
-      run_fleet(27, 8, util::Duration::seconds(2));
-  std::printf(
-      "fleet: %u clusters x %u nodes, %llu events, %.2f s wall, %.0f events/s\n",
-      fleet.clusters, fleet.nodes_per_cluster,
-      static_cast<unsigned long long>(fleet.sim_events), fleet.wall_seconds,
-      fleet.events_per_sec);
-
-  // The sharded fleet A/B at the same deployment shape and span, in both
-  // ordering lanes (unless --ordering restricts to one). sim_events is
-  // identical across shard counts AND lanes (the determinism contract);
-  // only wall clock moves, so events/s is a clean speedup axis.
+  // The paper's deployment shape in both ordering lanes (unless --ordering
+  // restricts to one). sim_events is identical across shard counts AND
+  // lanes (the determinism contract); only wall clock moves, so events/s is
+  // a clean speedup axis.
   std::vector<sim::Ordering> orderings;
   if (ordering_flag.empty() || ordering_flag == "certified") {
     orderings.push_back(sim::Ordering::kCertified);
@@ -465,13 +420,6 @@ int main(int argc, char** argv) {
   // tick, so per-window work is thousands of events instead of dozens —
   // the regime where the worker threads outrun the barrier cost (the sparse
   // 27x8 shape above deliberately shows the opposite regime).
-  const FleetNumbers fleet_dense = run_fleet(8, 64, util::Duration::seconds(1));
-  std::printf(
-      "fleet dense: %u clusters x %u nodes, %llu events, %.2f s wall, "
-      "%.0f events/s\n",
-      fleet_dense.clusters, fleet_dense.nodes_per_cluster,
-      static_cast<unsigned long long>(fleet_dense.sim_events),
-      fleet_dense.wall_seconds, fleet_dense.events_per_sec);
   std::vector<ShardedFleetNumbers> sharded_dense;
   util::Table dense_table({"shards", "ordering", "sim events", "windows",
                            "wall ms", "events/s"});
@@ -499,8 +447,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(chaos_batch.sim_events),
       chaos_batch.wall_seconds, chaos_batch.events_per_sec);
 
-  const std::string report = to_json(queue, storms, fleet, sharded,
-                                     fleet_dense, sharded_dense, chaos_batch);
+  if (!rows_agree("fleet (sharded, 27x8)", sharded) ||
+      !rows_agree("fleet (sharded, 8x64)", sharded_dense)) {
+    return 1;
+  }
+
+  const std::string report =
+      to_json(queue, storms, sharded, sharded_dense, chaos_batch);
   std::printf("=== JSON ===\n%s\n", report.c_str());
   const std::string json_out = flags->get_string("json-out", "");
   if (!json_out.empty()) {

@@ -56,7 +56,7 @@ Schedule generate_schedule(std::uint64_t seed, std::uint64_t campaign,
 
 /// Same generator over an explicit component space: schedules for failure
 /// domains whose component count is not the single-cluster 2N+2 formula (a
-/// Fleet's k*(2n+2)+k+1 flat space, say). generate_schedule() delegates here
+/// fleet's k*(2n+2)+k+1 flat space, say). generate_schedule() delegates here
 /// with component_count = 2*node_count+2, drawing the identical action
 /// stream, so existing (seed, campaign) replay coordinates stay valid.
 Schedule generate_domain_schedule(std::uint64_t seed, std::uint64_t campaign,

@@ -1,12 +1,14 @@
 // Fleet topology: the paper's deployed system at its real scale.
 //
 // The MCI deployment ran DRS on ~27 voice-mail clusters of 8–12 servers
-// each. A Fleet instantiates k independent ClusterNetworks (each with its
-// own pair of backplanes and its own DrsSystem) on ONE simulator, plus an
-// inter-cluster relay segment: a shared hub backplane carrying one gateway
-// host per cluster. Gateways exchange a periodic echo mesh over the relay
-// subnet (10.200.0.0/24), so inter-cluster reachability is continuously
-// measured the same way DRS measures intra-cluster links.
+// each. A fleet is k independent ClusterNetworks (each with its own pair of
+// backplanes and its own DrsSystem) plus an inter-cluster relay segment: a
+// shared hub backplane carrying one gateway host per cluster. Gateways
+// exchange a periodic echo mesh over the relay subnet (10.200.0.0/24), so
+// inter-cluster reachability is continuously measured the same way DRS
+// measures intra-cluster links. cluster::ShardedFleet (partition.hpp) builds
+// and runs the fleet; this header holds its configuration and its component
+// numbering.
 //
 // Isolation invariant: cluster-local subnets (10.1.0.0/24, 10.2.0.0/24) are
 // reused verbatim in every cluster — the clusters are disjoint L2 islands,
@@ -15,23 +17,18 @@
 // gateway-to-gateway on relay addresses; cluster addresses never appear on
 // the relay segment, so replies cannot be misrouted into the wrong island.
 //
-// The Fleet is a net::FailureDomain: chaos schedules address a flat
-// component space of k*(2n+2) cluster components (cluster-major, each block
-// in ClusterNetwork's canonical numbering), then the k gateway NICs, then
-// the relay backplane. FleetComponents owns that numbering for both Fleet
-// and ShardedFleet.
+// Chaos schedules address a flat component space of k*(2n+2) cluster
+// components (cluster-major, each block in ClusterNetwork's canonical
+// numbering), then the k gateway NICs, then the relay backplane.
+// FleetComponents owns that numbering.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "core/system.hpp"
-#include "net/host.hpp"
+#include "core/config.hpp"
+#include "net/backplane.hpp"
 #include "net/network.hpp"
-#include "obs/metrics.hpp"
-#include "proto/icmp.hpp"
-#include "sim/timer.hpp"
+#include "util/time.hpp"
 
 namespace drs::cluster {
 
@@ -67,8 +64,8 @@ class FleetComponents {
   };
 
   /// Throws std::invalid_argument unless `clusters` is in
-  /// [1, FleetConfig::kMaxClusters]; both fleets build this first, so it is
-  /// their cluster-count check.
+  /// [1, FleetConfig::kMaxClusters]; the fleet builds this first, so it is
+  /// its cluster-count check.
   FleetComponents(std::uint16_t clusters, std::uint16_t nodes_per_cluster);
 
   net::ComponentIndex count() const {
@@ -93,76 +90,6 @@ class FleetComponents {
  private:
   std::uint32_t clusters_;
   std::uint32_t stride_;
-};
-
-class Fleet : public net::FailureDomain {
- public:
-  /// Throws std::invalid_argument when config.clusters is outside
-  /// [1, FleetConfig::kMaxClusters] (see FleetComponents).
-  Fleet(sim::Simulator& sim, FleetConfig config);
-  ~Fleet() override;
-  Fleet(const Fleet&) = delete;
-  Fleet& operator=(const Fleet&) = delete;
-
-  std::uint16_t cluster_count() const { return config_.clusters; }
-  std::uint16_t nodes_per_cluster() const { return config_.nodes_per_cluster; }
-  const FleetConfig& config() const { return config_; }
-
-  net::ClusterNetwork& cluster(net::ClusterId c) { return *clusters_.at(c); }
-  core::DrsSystem& system(net::ClusterId c) { return *systems_.at(c); }
-  const core::DrsSystem& system(net::ClusterId c) const { return *systems_.at(c); }
-  net::Host& gateway(net::ClusterId c) { return *gateways_.at(c); }
-  proto::IcmpService& gateway_icmp(net::ClusterId c) { return *gateway_icmp_.at(c); }
-  net::Backplane& relay_backplane() { return *relay_; }
-
-  /// Starts every cluster's DRS system and the gateway echo mesh.
-  void start();
-  void stop();
-
-  /// Advances the shared simulation (all clusters progress together).
-  void settle(util::Duration warmup);
-
-  /// Every cluster back to the healthy steady state (see
-  /// DrsSystem::all_pristine); gateways carry no per-run state to check.
-  bool all_pristine() const;
-
-  /// End-to-end inter-cluster check: routed echo from cluster `a`'s gateway
-  /// to cluster `b`'s relay address, advancing simulated time until it
-  /// concludes. A measurement, not a pure query.
-  bool test_relay_reachability(net::ClusterId a, net::ClusterId b,
-                               util::Duration timeout = util::Duration::millis(250));
-
-  // -- FailureDomain ---------------------------------------------------------
-  sim::Simulator& simulator() override { return sim_; }
-  /// k*(2n+2) cluster components + k gateway NICs + the relay backplane.
-  /// The three accessors below throw std::out_of_range for an index >=
-  /// component_count().
-  net::ComponentIndex component_count() const override;
-  void set_component_failed(net::ComponentIndex index, bool failed) override;
-  bool component_failed(net::ComponentIndex index) const override;
-  std::string describe_component(net::ComponentIndex index) const override;
-
-  /// The flat component numbering (cluster, gateway and relay indices).
-  const FleetComponents& components() const { return components_; }
-
-  /// Fleet-wide metric snapshot: per-cluster daemon aggregates
-  /// ("cluster.<c>.probes_sent", ...), per-gateway echo counters, relay
-  /// backplane counters, the summed "fleet.flight_slots" pool gauge, and the
-  /// same sim.*/arena.* allocator-pressure metrics DrsSystem reports.
-  void collect_metrics(obs::MetricRegistry& registry) const;
-
-  std::uint64_t total_probes_sent() const;
-
- private:
-  sim::Simulator& sim_;
-  FleetConfig config_;
-  FleetComponents components_;
-  std::unique_ptr<net::Backplane> relay_;
-  std::vector<std::unique_ptr<net::ClusterNetwork>> clusters_;
-  std::vector<std::unique_ptr<core::DrsSystem>> systems_;
-  std::vector<std::unique_ptr<net::Host>> gateways_;
-  std::vector<std::unique_ptr<proto::IcmpService>> gateway_icmp_;
-  std::vector<std::unique_ptr<sim::PeriodicTimer>> gateway_timers_;
 };
 
 }  // namespace drs::cluster

@@ -82,7 +82,7 @@ net::PayloadPtr slab_ptr(const proto::IcmpPayload* payload) {
 // thread, no locks; the coordinator reads the buffers only while workers are
 // parked at the window barrier). At every window merge the coordinator
 // resolves the offers' lineage keys, interleaves them with the registered
-// failure transitions in exact legacy (time, rank) order, and replays
+// failure transitions in exact canonical (time, rank) order, and replays
 // Backplane::transmit_hub verbatim: FIFO serialization against busy_until,
 // the backlog bound, the loss RNG stream (same seed, same draw order), and
 // the failure accounting (dropped_failed / lost_in_flight). Successful
@@ -90,13 +90,17 @@ net::PayloadPtr slab_ptr(const proto::IcmpPayload* payload) {
 // event once its arrival falls inside the upcoming window — unless an
 // effective failure lands at or before the arrival, in which case the Due
 // stays queued and is counted lost when the replay reaches that transition.
+//
+// "Canonical" below names the order of one queue holding every event: the
+// whole fleet on one simulator, its relay a real hub Backplane. That is
+// the order the certified lane reproduces at any shard count.
 // ---------------------------------------------------------------------------
 struct ShardedFleet::RelayOracle {
   /// One frame offered to the relay, captured at the shard boundary. In the
   /// certified lane `meta` is the transmitting event's consumed child slot:
   /// its parent field recovers the event's own key (ordering the offer among
-  /// all events), and its resolution is the delivery's key (where legacy
-  /// claimed the stream entry's rank). In the counter-equal lane the key is
+  /// all events), and its resolution is the delivery's key (where the
+  /// canonical hub claims the stream entry's rank). In the counter-equal lane the key is
   /// synthesized from (cluster, capture index) instead — see on_merge. The
   /// ICMP payload rides by value (frame.packet.payload is detached) so the
   /// capture path never heap-allocates; `wire_bytes` is latched before the
@@ -113,14 +117,14 @@ struct ShardedFleet::RelayOracle {
   };
 
   /// A relay set_failed scheduled up front. `setup_idx` is the setup rank the
-  /// legacy injection event's push would have claimed.
+  /// canonical injection event's push claims.
   struct Transition {
     std::int64_t t_ns = 0;
     std::uint64_t setup_idx = 0;
     bool failed = false;
   };
 
-  /// A delivery in flight: the legacy hub's FIFO stream entry. Payload by
+  /// A delivery in flight: the canonical hub's FIFO stream entry. Payload by
   /// value, like Offer; deliver() places it into the slab.
   struct Due {
     std::int64_t arrival_ns = 0;
@@ -179,8 +183,8 @@ struct ShardedFleet::RelayOracle {
     Offer offer;
     offer.t_ns = engine.simulator(shard).now().ns();
     // Gateway hosts are numbered 0xF000 + cluster; the cluster index is the
-    // counter-equal lane's replay key (legacy rank order is cluster-major at
-    // equal times, see on_merge).
+    // counter-equal lane's replay key (canonical rank order is cluster-major
+    // at equal times, see on_merge).
     offer.cluster = static_cast<std::uint16_t>(sender.owner() - 0xF000u);
     offer.wire_bytes = frame.wire_bytes();
     offer.frame = frame;
@@ -224,7 +228,7 @@ struct ShardedFleet::RelayOracle {
   }
 
   /// True if an effective (state-flipping) failure lands in
-  /// [replayed_to_ns, arrival] — the Due would be cleared from the legacy
+  /// [replayed_to_ns, arrival] — the Due would be cleared from the canonical
   /// stream at that transition, so it must not be released.
   bool fail_blocks(std::int64_t arrival_ns) const {
     auto it = std::lower_bound(effective_fails.begin(), effective_fails.end(),
@@ -254,7 +258,7 @@ struct ShardedFleet::RelayOracle {
   /// offer at t >= cause, where `cause` = the earliest boundary-tagged or
   /// foreign event anywhere (the engine's bound) min'd with the oracle's own
   /// pending work (a queued Due executes as a tagged foreign event; a
-  /// transition can reset the serialization clock). Legacy then serializes it
+  /// transition can reset the serialization clock). The hub then serializes it
   /// no earlier than max(cause, busy') where busy' >= min(busy_until, next
   /// transition time) — set_failed is the only writer that moves busy_until
   /// backwards, to exactly the transition's time — and the arrival adds at
@@ -303,11 +307,11 @@ struct ShardedFleet::RelayOracle {
     }
   }
 
-  /// One legacy delivery-stream pop, re-expressed as per-shard foreign
+  /// One canonical delivery-stream pop, re-expressed as per-shard foreign
   /// events. Broadcast fan-out order is preserved end to end: within a shard
   /// by the attach-order NIC walk, across shards by the merge's
   /// lowest-shard-wins tie-break (shards own ascending cluster ranges, which
-  /// is exactly the legacy attach order).
+  /// is exactly the canonical attach order).
   void deliver(Due& due) {
     net::Frame frame = std::move(due.frame);
     if (due.has_payload) {
@@ -338,16 +342,16 @@ struct ShardedFleet::RelayOracle {
 
   /// Merge hook: replay the window's offers and any transitions due before
   /// its end, in global (time, key) order — the exact chronological order the
-  /// legacy run issued its transmit() calls and set_failed() events.
+  /// canonical run issues its transmit() calls and set_failed() events.
   ///
   /// Counter-equal lane: with no journal there are no lineage keys, so the
   /// replay key is synthesized as (time, cluster + 1, per-shard capture
-  /// index). For the fleet this IS legacy chronological order: gateway
+  /// index). For the fleet this IS canonical chronological order: gateway
   /// timers were created cluster-major during serialized setup, so at equal
-  /// times legacy rank order is cluster order; same-cluster offers at one
+  /// times canonical rank order is cluster order; same-cluster offers at one
   /// time keep their shard-local execution (= capture) order; and the +1
   /// keeps every offer after the setup-band transition keys, which is where
-  /// legacy put injection events relative to same-time runtime traffic.
+  /// one queue puts injection events relative to same-time runtime traffic.
   void on_merge(ShardedFleet& fleet, std::int64_t end_ns) {
     sim::ShardedEngine& engine = fleet.engine_;
     scratch.clear();
@@ -499,7 +503,7 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
   }
   if (config.ordering == sim::Ordering::kCounterEqual &&
       config.fleet.relay_backplane.frame_loss_rate > 0.0) {
-    // The loss RNG must be drawn in exact legacy transmit order; that order
+    // The loss RNG must be drawn in exact canonical transmit order; that order
     // is certified by the journaled merge, which the counter-equal lane
     // elides. Zero-loss relays (the paper's configuration) don't draw at all.
     throw std::invalid_argument(
@@ -553,10 +557,10 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
   engine_.set_eot_hook(
       [this](std::int64_t bound_ns) { return oracle_->eot_ns(bound_ns); });
 
-  // Everything below runs on this thread in the exact order Fleet's
-  // constructor builds the legacy topology, with each shard-touching step
-  // wrapped in a setup segment so trace emissions and setup ranks land at
-  // their legacy positions.
+  // Everything below runs on this thread in the canonical construction order
+  // (relay, then cluster-major networks, systems, gateways and their echo
+  // timers), with each shard-touching step wrapped in a setup segment so
+  // trace emissions and setup ranks land at their canonical positions.
   engine_.begin_setup();
 
   relay_stubs_.reserve(shards);
@@ -581,7 +585,9 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     engine_.end_setup_segment();
   }
 
-  // Per-shard share of the fleet-wide reservation Fleet makes up front.
+  // Each shard reserves its share of the fleet-wide event population up
+  // front; DrsSystem's own per-cluster reservations are then no-ops, since
+  // queue reservation only grows.
   for (std::uint32_t s = 0; s < shards; ++s) {
     const std::size_t local_k = ranges_[s].second - ranges_[s].first;
     engine_.simulator(s).reserve_events(
@@ -652,7 +658,7 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
 }
 
 ShardedFleet::~ShardedFleet() {
-  // Symmetric teardown order with Fleet::stop(); the engine (and its parked
+  // Gateway timers first, then the DRS systems; the engine (and its parked
   // workers) outlives every component since it is declared first.
   for (auto& timer : gateway_timers_) timer->stop();
   for (auto& system : systems_) system->stop();
@@ -692,13 +698,13 @@ void ShardedFleet::schedule_component_failure(util::SimTime at,
         "start() and before the first run_until()");
   }
   const FleetComponents::Decoded d = components_.decode(index);
-  // Every injection consumes one setup rank — the legacy run pushed one
-  // injection event per call onto its single queue at exactly this point.
+  // Every injection consumes one setup rank — one queue holding every event
+  // would push one injection event per call at exactly this point.
   const std::uint64_t rank = engine_.consume_setup_rank();
   if (d.kind == FleetComponents::Kind::kRelayBackplane) {
     // The relay is oracle-owned shared state: no shard event at all. The
     // consumed rank orders the transition against same-time offers exactly
-    // as the legacy injection event's rank ordered its set_failed call.
+    // as the canonical injection event's rank orders its set_failed call.
     oracle_->add_transition(at.ns(), rank, failed);
     return;
   }
@@ -808,16 +814,17 @@ void ShardedFleet::collect_metrics(obs::MetricRegistry& registry) const {
   registry.counter("relay.lost_in_flight")
       .add(static_cast<std::int64_t>(relay.lost_in_flight));
   // The oracle delivers directly (no flight pool) and the stubs never drive
-  // their medium, so the relay's contribution is zero — matching the legacy
-  // hub at zero jitter, whose FIFO stream bypasses the pool too.
+  // their medium, so the relay's contribution is zero — matching a real hub
+  // at zero jitter, whose FIFO stream bypasses the pool too.
   for (const auto& stub : relay_stubs_) {
     flight_slots += static_cast<std::int64_t>(stub->flight_slots());
   }
   registry.gauge("fleet.flight_slots").set(flight_slots);
 
-  // Aggregated allocator-pressure metrics (same names as Fleet), plus
-  // per-shard diagnostics under the shard.* prefix. Values are per-queue
-  // implementation detail — the differential corpus strips sim./arena./shard.
+  // Aggregated allocator-pressure metrics (same names as
+  // DrsSystem::collect_metrics), plus per-shard diagnostics under the
+  // shard.* prefix. Values are per-queue implementation detail — the fleet
+  // corpus golden strips sim./arena./shard./engine.
   std::int64_t event_slots = 0, pending_events = 0;
   std::int64_t scheduled = 0, executed = 0;
   std::int64_t arena_chunks = 0, arena_bytes = 0, arena_allocs = 0,

@@ -1,29 +1,32 @@
-// Fleet sharding: cluster-island partitioning over a ShardedEngine.
+// The fleet: cluster-island partitioning over a ShardedEngine.
 //
 // The fleet topology (fleet.hpp) is S-shardable almost by construction: the
 // k clusters are disjoint L2 islands whose only coupling is the shared relay
 // hub. A ShardedFleet assigns each cluster (its networks, its DrsSystem, its
 // gateway host) wholly to one shard, so every intra-cluster event is
 // shard-local; only relay traffic crosses shards, and the relay backplane's
-// propagation delay (5 us by default) is the conservative lookahead.
+// propagation delay (5 us by default) is the conservative lookahead. One
+// shard runs the whole fleet on one simulator.
 //
 // The relay hub itself is SHARED state — serialization contention, the
 // backlog bound, the loss RNG stream, and failure epochs all couple every
 // gateway. Rather than lock it, each shard gets a stub Backplane whose
 // boundary hook captures offered frames (with their lineage keys, see
 // sim/sharded.hpp), and a single relay-hub ORACLE on the coordinator replays
-// the legacy transmit math over the globally merged offer order at every
+// the hub's transmit math over the globally merged offer order at every
 // window barrier. Deliveries come back as cross-shard foreign events at the
-// exact (time, key) coordinates the legacy delivery stream would have popped
-// them, so traces and counters are byte-identical to the single-threaded
-// Fleet at any shard count. docs/SHARDING.md walks through the argument.
+// exact (time, key) coordinates one queue holding every event would have
+// popped them, so in the certified lane traces and counters are the same at
+// any shard count. tests/golden/fleet_corpus.txt pins them over a 22-scenario
+// corpus, frozen from a single-simulator implementation of the same
+// topology; docs/SHARDING.md walks through the argument.
 //
-// Contract differences vs. Fleet (both enforced here):
+// Contract (both enforced here):
 //   - the relay must be a kHub with zero jitter (the delivery stream the
 //     oracle replays is the monotone-FIFO path);
 //   - failure injections are scheduled up front via
 //     schedule_component_failure(), not by external mid-run schedule_at
-//     calls (a mid-run push has no legacy rank to reproduce).
+//     calls (a mid-run push has no rank in the canonical order).
 #pragma once
 
 #include <cstdint>
@@ -32,14 +35,19 @@
 #include <vector>
 
 #include "cluster/fleet.hpp"
+#include "core/system.hpp"
+#include "net/host.hpp"
+#include "obs/metrics.hpp"
+#include "proto/icmp.hpp"
 #include "sim/sharded.hpp"
+#include "sim/timer.hpp"
 
 namespace drs::cluster {
 
 /// Contiguous [begin, end) cluster ranges, one per shard, sizes differing by
 /// at most one (remainder clusters go to the lowest shards). Contiguity keeps
 /// the canonical 27-cluster fleet's shard map human-readable and makes the
-/// legacy construction order (cluster-major) trivially reproducible.
+/// canonical construction order (cluster-major) trivially reproducible.
 std::vector<std::pair<std::uint16_t, std::uint16_t>> partition_clusters(
     std::uint16_t clusters, std::uint32_t shards);
 
@@ -47,16 +55,18 @@ struct ShardedFleetConfig {
   FleetConfig fleet;
   /// Worker threads; clamped to [1, fleet.clusters].
   std::uint32_t shards = 4;
-  /// Per-shard tracer ring capacity; 0 skips tracer attachment (the fair
-  /// configuration for benchmarking against an untraced legacy Fleet).
+  /// Per-shard tracer ring capacity; 0 skips tracer attachment (the
+  /// configuration for benchmarking). A traced window must fit one ring, see
+  /// sim::ShardedEngine::Options::trace_capacity.
   std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
   /// Property-test hook, see sim::ShardedEngine::Options.
   bool check_windows = false;
-  /// Output contract (sim::Ordering): kCertified reproduces legacy traces
-  /// byte for byte; kCounterEqual elides the journal and merge, promising
-  /// only event counts, metric totals and invariant outcomes. The fleet's
-  /// counter-equal lane refuses lossy relays (frame_loss_rate > 0) because
-  /// the loss RNG draw order is only certified under the journaled merge.
+  /// Output contract (sim::Ordering): kCertified reproduces the canonical
+  /// traces byte for byte at any shard count; kCounterEqual elides the
+  /// journal and merge, promising only event counts, metric totals and
+  /// invariant outcomes. The fleet's counter-equal lane refuses lossy relays
+  /// (frame_loss_rate > 0) because the loss RNG draw order is only certified
+  /// under the journaled merge.
   sim::Ordering ordering = sim::Ordering::kCertified;
   /// Adaptive earliest-output-time windows (sim::ShardedEngine::Options);
   /// the fleet refines the engine bound with the relay oracle's state.
@@ -70,8 +80,8 @@ struct ShardedFleetConfig {
   bool record_window_spans = false;
 };
 
-/// The fleet topology sharded across worker threads. Byte-identical traces
-/// and (semantic) counters vs. Fleet; see the file comment.
+/// The fleet topology, sharded across worker threads. Traces and (semantic)
+/// counters are the same at any shard count; see the file comment.
 class ShardedFleet {
  public:
   /// Throws std::invalid_argument when config.fleet.clusters is outside
@@ -105,9 +115,9 @@ class ShardedFleet {
 
   /// Schedules a component fail/restore at absolute time `at`. Must be called
   /// after start() and before the first run_until() (std::logic_error
-  /// otherwise), in the same order the legacy run would issue its
-  /// schedule_at calls — each call consumes one setup rank, exactly like the
-  /// legacy injection event's push. Throws std::out_of_range for an index
+  /// otherwise). Each call consumes one setup rank, as pushing the injection
+  /// event onto one queue holding every event would, so call order breaks
+  /// ties between same-time injections. Throws std::out_of_range for an index
   /// >= component_count().
   void schedule_component_failure(util::SimTime at, net::ComponentIndex index,
                                   bool failed);
@@ -116,8 +126,8 @@ class ShardedFleet {
   /// Simulator::run_until over the whole fleet).
   void run_until(util::SimTime deadline);
 
-  /// Merged global trace, byte-identical to the legacy Fleet's tracer stream
-  /// (modulo kQueueHighWater, which reports per-queue occupancy).
+  /// Merged global trace, the same at any shard count (modulo
+  /// kQueueHighWater, which reports per-queue occupancy).
   const std::vector<obs::TraceEvent>& merged_trace() const {
     return engine_.merged_trace();
   }
@@ -125,18 +135,20 @@ class ShardedFleet {
   bool all_pristine() const;
   std::uint64_t total_probes_sent() const;
 
-  // -- flat component space (FleetComponents, identical to Fleet) ------------
+  // -- flat component space (FleetComponents) -------------------------------
   net::ComponentIndex component_count() const;
   /// Throws std::out_of_range for an index >= component_count().
   bool component_failed(net::ComponentIndex index) const;
   const FleetComponents& components() const { return components_; }
 
-  /// Same semantic keys as Fleet::collect_metrics (cluster.*, gateway.*,
-  /// relay.*, fleet.*), with sim.*/arena.* aggregated across shards and
-  /// additional shard.<i>.* / engine.* diagnostics (window_events,
-  /// barrier_wait_ns, windows_coalesced). The differential corpus compares
-  /// everything except the sim./arena./shard./engine. prefixes, whose values
-  /// are per-queue or wall-clock implementation detail.
+  /// Fleet-wide metric snapshot: per-cluster daemon aggregates
+  /// ("cluster.<c>.probes_sent", ...), per-gateway echo counters
+  /// ("gateway.<c>.*"), relay hub counters ("relay.*"), the summed
+  /// "fleet.flight_slots" pool gauge, sim.*/arena.* allocator pressure
+  /// aggregated across shards, and shard.<i>.* / engine.* diagnostics
+  /// (window_events, barrier_wait_ns, windows_coalesced). The fleet corpus
+  /// golden pins everything except the sim./arena./shard./engine. prefixes,
+  /// whose values are per-queue or wall-clock implementation detail.
   void collect_metrics(obs::MetricRegistry& registry) const;
 
  private:

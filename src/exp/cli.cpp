@@ -14,7 +14,7 @@ std::optional<BenchCli> parse_bench_cli(
   allowed.emplace("seed", "master seed for randomized families");
   allowed.emplace("shards",
                   "fixed `shards` axis: fleet families run on the sharded "
-                  "engine with this many worker shards (0 = legacy path)");
+                  "engine with this many worker shards");
   allowed.emplace("ordering",
                   "fixed `ordering` axis for sharded fleet cells: certified "
                   "(journaled merge) or counter-equal (merge elided)");

@@ -35,7 +35,7 @@ struct BenchCli {
   /// otherwise (that is what keeps the golden tables byte-stable).
   std::optional<std::uint64_t> seed;
   /// Explicit --shards, when given; folded into the grid as a fixed axis so
-  /// fleet families run on the sharded engine (0 keeps the legacy path).
+  /// fleet families run with that many worker shards.
   std::optional<std::int64_t> shards;
   /// Explicit --ordering ("certified" | "counter-equal"), when given; folded
   /// into the grid as a fixed axis so sharded fleet cells pick their

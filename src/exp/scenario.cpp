@@ -300,76 +300,44 @@ std::int64_t int_axis_in(const ScenarioContext& ctx, const char* family,
 
 Outputs run_fleet_smoke(const ScenarioContext& ctx) {
   constexpr std::int64_t kMaxClusters = cluster::FleetConfig::kMaxClusters;
-  cluster::FleetConfig config;
-  config.clusters = static_cast<std::uint16_t>(
+  cluster::ShardedFleetConfig config;
+  config.fleet.clusters = static_cast<std::uint16_t>(
       int_axis_in(ctx, "fleet_smoke", "clusters", 27, 1, kMaxClusters));
-  config.nodes_per_cluster = static_cast<std::uint16_t>(
+  config.fleet.nodes_per_cluster = static_cast<std::uint16_t>(
       int_axis_in(ctx, "fleet_smoke", "n", 8, net::ClusterNetwork::kMinNodes,
                   net::ClusterNetwork::kMaxNodes));
-  config.drs = ctx.config;
-  // Shards clamp to the cluster count, so no fleet uses more than
-  // kMaxClusters; 0 selects the unsharded Fleet.
-  const std::int64_t shards =
-      int_axis_in(ctx, "fleet_smoke", "shards", 0, 0, kMaxClusters);
-  // The `shards` axis (also the CLI's --shards default) routes the same
-  // deployment through the sharded engine. Probe totals, echo counters and
-  // the pristine check are byte-contract-equal to the legacy path (the
-  // differential corpus proves it); the interactive relay-reachability probe
-  // has no windowed equivalent, so that cell reports echo-mesh health
-  // instead.
-  if (shards > 0) {
-    cluster::ShardedFleetConfig sharded_config;
-    sharded_config.fleet = config;
-    sharded_config.shards = static_cast<std::uint32_t>(shards);
-    // The `ordering` axis (also the CLI's --ordering default) picks the
-    // determinism lane: "certified" journals and merges for byte-identical
-    // traces, "counter-equal" elides both and certifies counts/totals only.
-    const std::string ordering = ctx.cell.get_string("ordering", "certified");
-    if (ordering != "certified" && ordering != "counter-equal") {
-      throw std::invalid_argument("fleet_smoke: unknown ordering `" +
-                                  ordering + "`");
-    }
-    sharded_config.ordering = ordering == "certified"
-                                  ? sim::Ordering::kCertified
-                                  : sim::Ordering::kCounterEqual;
-    cluster::ShardedFleet fleet(sharded_config);
-    fleet.start();
-    fleet.run_until(util::SimTime::zero() +
-                    Duration::millis(ctx.cell.get_int("run_ms", 500)));
-    std::int64_t gateway_echoes = 0, gateway_timeouts = 0;
-    for (net::ClusterId c = 0; c < config.clusters; ++c) {
-      gateway_echoes +=
-          static_cast<std::int64_t>(fleet.gateway_icmp(c).probes_sent());
-      gateway_timeouts +=
-          static_cast<std::int64_t>(fleet.gateway_icmp(c).probes_timed_out());
-    }
-    const bool relay_ok =
-        config.clusters < 2 || gateway_echoes > gateway_timeouts;
-    obs::MetricRegistry metrics;
-    fleet.collect_metrics(metrics);
-    return {
-        {"probes_sent", static_cast<std::int64_t>(fleet.total_probes_sent())},
-        {"gateway_echoes", gateway_echoes},
-        {"gateway_timeouts", gateway_timeouts},
-        {"all_pristine", fleet.all_pristine()},
-        {"relay_reachable", relay_ok},
-        {"metrics", metrics.to_json()}};
+  config.fleet.drs = ctx.config;
+  // The `shards` axis (also the CLI's --shards default) sets the worker
+  // shard count. Shards clamp to the cluster count, so no fleet uses more
+  // than kMaxClusters.
+  config.shards = static_cast<std::uint32_t>(
+      int_axis_in(ctx, "fleet_smoke", "shards", 1, 1, kMaxClusters));
+  // The `ordering` axis (also the CLI's --ordering default) picks the
+  // determinism lane: "certified" journals and merges for byte-identical
+  // traces, "counter-equal" elides both and certifies counts/totals only.
+  const std::string ordering = ctx.cell.get_string("ordering", "certified");
+  if (ordering != "certified" && ordering != "counter-equal") {
+    throw std::invalid_argument("fleet_smoke: unknown ordering `" + ordering +
+                                "`");
   }
-  sim::Simulator sim;
-  cluster::Fleet fleet(sim, config);
+  config.ordering = ordering == "certified" ? sim::Ordering::kCertified
+                                            : sim::Ordering::kCounterEqual;
+  // Untraced: the cell reports counters and never reads the merged trace.
+  config.trace_capacity = 0;
+  cluster::ShardedFleet fleet(config);
   fleet.start();
-  fleet.settle(Duration::millis(ctx.cell.get_int("run_ms", 500)));
+  fleet.run_until(util::SimTime::zero() +
+                  Duration::millis(ctx.cell.get_int("run_ms", 500)));
   std::int64_t gateway_echoes = 0, gateway_timeouts = 0;
-  for (net::ClusterId c = 0; c < config.clusters; ++c) {
+  for (net::ClusterId c = 0; c < config.fleet.clusters; ++c) {
     gateway_echoes +=
         static_cast<std::int64_t>(fleet.gateway_icmp(c).probes_sent());
     gateway_timeouts +=
         static_cast<std::int64_t>(fleet.gateway_icmp(c).probes_timed_out());
   }
+  // Relay health is the echo mesh's verdict: some gateway echo came back.
   const bool relay_ok =
-      config.clusters < 2 ||
-      fleet.test_relay_reachability(0, static_cast<net::ClusterId>(
-                                           config.clusters - 1u));
+      config.fleet.clusters < 2 || gateway_echoes > gateway_timeouts;
   obs::MetricRegistry metrics;
   fleet.collect_metrics(metrics);
   return {{"probes_sent", static_cast<std::int64_t>(fleet.total_probes_sent())},
@@ -425,13 +393,12 @@ std::vector<Scenario> build_registry() {
        .uses_config = true,
        .run = run_policy_shootout});
   add({.family = "fleet_smoke",
-       .version = "v1",
+       .version = "v2",
        .help = "Multi-cluster fleet smoke: k clusters of n nodes plus the "
                "gateway relay mesh; probe totals, echo counters, pristine "
-               "check, and an end-to-end relay reachability probe; the "
-               "`shards` axis (> 0) runs the same deployment on the sharded "
-               "engine with that many worker shards; the `ordering` axis "
-               "picks certified (default) or counter-equal",
+               "check, and relay health from the echo mesh; the `shards` "
+               "axis (1..254, default 1) sets the worker shard count; the "
+               "`ordering` axis picks certified (default) or counter-equal",
        .required = {"clusters"},
        .uses_config = true,
        .run = run_fleet_smoke});

@@ -128,8 +128,8 @@ class Backplane {
   /// set, transmit() hands every offered frame to the hook INSTEAD of driving
   /// the medium. The hook fires before the failed_ check on purpose — the
   /// relay-hub oracle owns the shared medium's failure state, contention,
-  /// loss draws, and delivery, and replays the legacy transmit math (and its
-  /// drop accounting) centrally at each window merge. Registration-time
+  /// loss draws, and delivery, and replays this class's hub transmit math
+  /// (and its drop accounting) centrally at each window merge. Registration-time
   /// plumbing; never set on single-threaded topologies.
   using BoundaryHook = std::function<void(const Nic& sender, const Frame&)>;
   void set_boundary_hook(BoundaryHook hook) {

@@ -23,9 +23,11 @@ using ComponentIndex = std::uint32_t;
 
 /// Anything failure injection can address: a flat, dense component space with
 /// per-component fail/restore. ClusterNetwork exposes one cluster's 2N+2
-/// components; cluster::Fleet composes k clusters plus its gateways and the
-/// inter-cluster relay backplane into one space, so the same FailureInjector
-/// (and every chaos schedule built on it) drives either topology.
+/// components to the FailureInjector and every chaos schedule built on it.
+/// The fleet (cluster::ShardedFleet) extends the same numbering to k
+/// clusters plus their gateways and the inter-cluster relay backplane
+/// (cluster::FleetComponents), and takes a schedule's actions up front
+/// through schedule_component_failure instead of mid-run calls.
 class FailureDomain {
  public:
   virtual ~FailureDomain() = default;

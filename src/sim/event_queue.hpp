@@ -117,8 +117,8 @@ class EventQueue {
   /// the queue costs nothing measurable.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Sharded-execution lineage hook (nullptr = off, the default; the legacy
-  /// single-queue paths pay one predictable branch per push/claim). The
+  /// Sharded-execution lineage hook (nullptr = off, the default; unsharded
+  /// queues pay one predictable branch per push/claim). The
   /// journal observes every push's (slot, rank) pair and every bare rank
   /// claim so the ShardedEngine can reconstruct the global (time, rank)
   /// order across shards — see sim/sharded.hpp. Non-owning.
@@ -131,8 +131,8 @@ class EventQueue {
   /// entered into a side min-heap, so next_boundary_ns() can answer "when is
   /// the earliest event that could emit cross-shard traffic?" without
   /// scanning the wheel. Tags propagate transitively: a tagged parent's
-  /// children are tagged. Legacy single-queue runs never raise the scope and
-  /// pay one predictable branch per push.
+  /// children are tagged. Unsharded runs never raise the scope and pay one
+  /// predictable branch per push.
   void set_boundary_scope(bool on) { boundary_scope_ = on; }
   bool boundary_scope() const { return boundary_scope_; }
 

@@ -26,8 +26,8 @@ OrderingJournal::Meta OrderingJournal::make_child_meta() {
     return meta;
   }
   // Outside setup, every push/claim must happen while some event executes —
-  // that event is the lineage parent. External mid-run pushes have no legacy
-  // rank to reproduce and are excluded by contract (docs/SHARDING.md).
+  // that event is the lineage parent. External mid-run pushes have no
+  // canonical rank to reproduce and are excluded by contract (docs/SHARDING.md).
   assert(in_event_ &&
          "sharded pushes must originate from setup or an executing event");
   meta.parent = cur_entry_;
@@ -136,7 +136,7 @@ ShardedEngine::ShardedEngine(Options options) : options_(options) {
     // recording on push/claim, no per-event log, no window merge. Ordering
     // of same-time cross-shard traffic is then the caller's contract (the
     // fleet oracle replays offers in (time, cluster, capture) order, which
-    // provably matches legacy rank order for the gateway mesh).
+    // provably matches canonical rank order for the gateway mesh).
     if (certified()) shard->sim.set_journal(&shard->journal);
     shards_.push_back(std::move(shard));
   }
@@ -164,7 +164,7 @@ void ShardedEngine::end_setup_segment() {
 
 void ShardedEngine::drain_setup_segment(std::uint32_t shard_index) {
   // Eager per-segment drains keep multi-shard setup emissions in the merged
-  // trace at exactly the position the legacy serialized build produced them.
+  // trace at exactly the position a serialized single-queue build emits them.
   Shard& sh = *shards_[shard_index];
   const std::uint64_t base = sh.journal.trace_drained;
   const std::uint64_t total = sh.tracer.emitted();
@@ -288,7 +288,7 @@ void ShardedEngine::execute_window(Shard& shard, std::int64_t start_ns,
       } else if (foreign->at_ns != local_t) {
         // local first
       } else if (!journaled) {
-        // Counter-equal lane: a delivery's legacy rank was claimed at its
+        // Counter-equal lane: a delivery's canonical rank is claimed at its
         // transmit instant, before any same-time local push this window
         // could produce — and the fleet's hub arrivals never collide with
         // pre-scheduled local events (serialization offsets are never

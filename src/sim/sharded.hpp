@@ -12,12 +12,13 @@
 // per-shard inboxes, and picks the next window (skipping idle gaps).
 //
 // Determinism contract — the reason this file exists (docs/SHARDING.md):
-// a sharded run must be *byte-identical* to the legacy single-queue run, at
-// any shard count. The legacy queue orders events by (time, rank) where the
-// rank is the global push/claim sequence number. That global counter cannot
-// be reproduced online across threads, but its *order* can: a rank is claimed
-// either during setup (single-threaded, serialized across shards in legacy
-// construction order) or during the execution of some parent event. Ordering
+// a sharded run must be *byte-identical* at any shard count to the canonical
+// order, defined as one queue holding every event. That queue orders events
+// by (time, rank) where the rank is the global push/claim sequence number.
+// That global counter cannot be reproduced online across threads, but its
+// *order* can: a rank is claimed either during setup (single-threaded,
+// serialized across shards in canonical construction order) or during the
+// execution of some parent event. Ordering
 // events by the lexicographic key
 //
 //     (time, parent's execution order, push index within the parent)
@@ -70,7 +71,7 @@ struct GlobalEventId {
 /// `parent` is kSetupParent for events pushed during serialized setup (idx is
 /// then the global setup counter), or the parent event's gseq; `idx` is the
 /// push index within that parent. Lexicographic (parent, idx) reproduces the
-/// legacy queue's same-time rank order (see the file comment).
+/// single queue's same-time rank order (see the file comment).
 struct PushKey {
   std::uint64_t parent = 0;
   std::uint64_t idx = 0;
@@ -80,8 +81,8 @@ struct PushKey {
 };
 
 /// Parent value for setup-band pushes. Every setup push sorts before every
-/// runtime push at the same timestamp, exactly as the legacy counter orders
-/// them (setup ranks are claimed before the run starts).
+/// runtime push at the same timestamp, exactly as the single queue's counter
+/// orders them (setup ranks are claimed before the run starts).
 inline constexpr std::uint64_t kSetupParent = 0;
 /// First gseq handed to an executed event. Setup counters stay far below
 /// this, so a resolved parent field orders setup-band keys first.
@@ -128,7 +129,8 @@ class OrderingJournal {
   bool in_setup() const { return in_setup_; }
   /// The next setup push consumes `idx` instead of bumping the shared
   /// counter. Used for actions mirrored into every shard (a relay failure
-  /// epoch bump): legacy schedules ONE event, so all mirrors share its rank.
+  /// epoch bump): one queue would hold ONE event, so all mirrors share its
+  /// rank.
   void force_next_setup_idx(std::uint64_t idx) { forced_setup_idx_ = idx; }
 
   // -- queue hooks (EventQueue::push_ranked / claim_rank) --------------------
@@ -143,8 +145,8 @@ class OrderingJournal {
   /// Consumes the next child slot of the current context — what on_push does
   /// internally, exposed for shard-boundary capture (the relay stub records
   /// the offer's key instead of pushing a local event). The consumed index
-  /// keeps later same-parent pushes ordered exactly as legacy ranks would be,
-  /// whether or not legacy would have claimed a rank for this offer.
+  /// keeps later same-parent pushes ordered exactly as single-queue ranks
+  /// would be, whether or not that queue would claim a rank for this offer.
   Meta make_child_meta();
 
   /// Pending-event meta for the foreign-lane comparison (the slot must hold a
@@ -201,14 +203,15 @@ class OrderingJournal {
 
 /// What the engine promises about a run's observable output.
 enum class Ordering {
-  /// Byte-identical traces and metric snapshots vs. the legacy single queue
-  /// (the OrderingJournal + window-merge machinery; the default).
+  /// Traces and metric snapshots byte-identical to the canonical single
+  /// queue at any shard count (the OrderingJournal + window-merge machinery;
+  /// the default).
   kCertified,
   /// Contract-equal fast lane: elides the journal, the k-way merge and all
   /// trace bookkeeping. Guarantees only what the benches assert — event
-  /// counts, metric totals and invariant outcomes equal to legacy. No merged
-  /// trace is produced. For ceiling measurements and Monte-Carlo campaigns
-  /// that never read traces.
+  /// counts, metric totals and invariant outcomes equal to kCertified's. No
+  /// merged trace is produced. For ceiling measurements and Monte-Carlo
+  /// campaigns that never read traces.
   kCounterEqual,
 };
 
@@ -286,10 +289,10 @@ class ShardedEngine {
 
   // -- serialized setup ------------------------------------------------------
   // Construction and start() of the sharded system run on the caller's
-  // thread, interleaved across shards in the exact order the legacy
-  // single-simulator build would have used. Wrap every step that touches a
-  // shard in a segment so its trace emissions land in the merged trace at
-  // the legacy position.
+  // thread, interleaved across shards in the exact order a single-simulator
+  // build would use. Wrap every step that touches a shard in a segment so
+  // its trace emissions land in the merged trace at their canonical
+  // position.
   void begin_setup();
   void begin_setup_segment(std::uint32_t shard);
   void end_setup_segment();
@@ -357,8 +360,8 @@ class ShardedEngine {
   void run_until(util::SimTime deadline);
 
   /// The merged trace: every shard's emissions interleaved in global
-  /// execution (gseq) order — byte-identical to the legacy single-tracer
-  /// stream. Grows across run_until calls.
+  /// execution (gseq) order — byte-identical to one tracer on the canonical
+  /// single queue. Grows across run_until calls.
   const std::vector<obs::TraceEvent>& merged_trace() const { return merged_; }
 
   std::uint64_t windows_run() const { return windows_run_; }

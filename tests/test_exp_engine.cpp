@@ -299,7 +299,8 @@ TEST(Engine, JsonReportAndSummaryLine) {
 TEST(Engine, FleetSmokeRejectsOutOfRangeAxesNamingTheField) {
   // Each axis is cast to a narrow integer downstream; an out-of-range value
   // must fail up front naming its field, not wrap (clusters=65536 would
-  // become a zero-cluster fleet, shards=-1 the unsharded path).
+  // become a zero-cluster fleet). A fleet runs on at least one shard, so
+  // shards=0 is rejected too.
   struct Case {
     std::string field;
     std::int64_t value;
@@ -307,7 +308,8 @@ TEST(Engine, FleetSmokeRejectsOutOfRangeAxesNamingTheField) {
   const std::vector<Case> cases = {
       {"clusters", 0},        {"clusters", 255},  {"clusters", 65536},
       {"n", 1},               {"n", 255},         {"n", 65538},
-      {"shards", -1},         {"shards", 255},    {"shards", 4294967297},
+      {"shards", -1},         {"shards", 0},      {"shards", 255},
+      {"shards", 4294967297},
   };
   exp::EngineOptions options;
   options.threads = 1;

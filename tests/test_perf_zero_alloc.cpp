@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <string>
 
-#include "cluster/fleet.hpp"
 #include "cluster/partition.hpp"
 #include "core/system.hpp"
 #include "net/network.hpp"
@@ -95,15 +94,18 @@ TEST(ZeroAllocSteadyState, ProbeCyclesReuseWarmedUpStorage) {
 }
 
 TEST(ZeroAllocSteadyState, FleetScaleProbeFabricReusesWarmedUpStorage) {
-  // The paper's full deployment shape — 27 clusters of 8, one simulator —
-  // must hold the same steady-state guarantee as a single cluster: the
-  // geometry-derived reservations (event queue, flight pools, timeout
-  // records) reach their peak during warmup and never grow again.
-  sim::Simulator sim;
-  cluster::FleetConfig config;
-  config.clusters = 27;
-  config.nodes_per_cluster = 8;
-  cluster::Fleet fleet(sim, config);
+  // The paper's full deployment shape — 27 clusters of 8 on one shard,
+  // untraced, as the deploy_27x8 benchmark runs it — must hold the same
+  // steady-state guarantee as a single cluster: the geometry-derived
+  // reservations (event queue, flight pools, timeout records) and the
+  // window machinery's scratch reach their peak during warmup and never
+  // grow again.
+  cluster::ShardedFleetConfig config;
+  config.fleet.clusters = 27;
+  config.fleet.nodes_per_cluster = 8;
+  config.shards = 1;
+  config.trace_capacity = 0;
+  cluster::ShardedFleet fleet(config);
   fleet.start();
 
   const auto fleet_snapshot = [&fleet] {
@@ -119,12 +121,12 @@ TEST(ZeroAllocSteadyState, FleetScaleProbeFabricReusesWarmedUpStorage) {
     return snap;
   };
 
-  fleet.settle(util::Duration::seconds(2));
+  fleet.run_until(util::SimTime::zero() + util::Duration::seconds(2));
   const AllocSnapshot warm = fleet_snapshot();
   ASSERT_GT(warm.probes_sent, 0);
   ASSERT_GT(warm.arena_chunks, 0);
 
-  fleet.settle(util::Duration::seconds(5));
+  fleet.run_until(util::SimTime::zero() + util::Duration::seconds(7));
   const AllocSnapshot steady = fleet_snapshot();
 
   EXPECT_GT(steady.probes_sent, warm.probes_sent) << "no probe traffic ran";
@@ -137,7 +139,6 @@ TEST(ZeroAllocSteadyState, FleetScaleProbeFabricReusesWarmedUpStorage) {
       << "the event queue grew its slot table after fleet warmup";
   EXPECT_EQ(steady.flight_slots_a, warm.flight_slots_a)
       << "a backplane grew its in-flight frame pool after fleet warmup";
-  fleet.stop();
 }
 
 TEST(ZeroAllocSteadyState, ShardedFleetReusesWarmedUpStoragePerShard) {

@@ -1,11 +1,11 @@
-// Differential proof that the sharded fleet is byte-identical to the legacy
-// single-queue fleet at every shard count, frozen into a golden.
+// Golden pin of the sharded fleet at every shard count.
 //
-// Every scenario runs once on a legacy cluster::Fleet (one Simulator, one
-// tracer) and once per shard count in {1, 2, 4, 8} on a
-// cluster::ShardedFleet, with identical configs and identical injection
-// schedules. Each run reduces to one line of tests/golden/fleet_corpus.txt,
-// generated from the legacy runs, and every run must reproduce it exactly:
+// Every scenario runs on a cluster::ShardedFleet once per shard count in
+// {1, 2, 4, 8}, with identical configs and identical injection schedules.
+// Each run reduces to one line of tests/golden/fleet_corpus.txt, and every
+// run must reproduce it exactly. The file was frozen from a
+// single-simulator fleet (one queue holding every event, one tracer), so
+// the lines pin the sharded runs to that canonical order:
 //   - the protocol-trace event count and per-kind counts, and the FNV-1a-64
 //     of the canonical trace JSON (every TraceEventKind except
 //     kQueueHighWater, which reports per-queue occupancy and is per-shard by
@@ -24,7 +24,7 @@
 // shape. docs/SHARDING.md explains why equality is exact rather than
 // statistical.
 //
-// To regenerate from the legacy runs (only for an intentional protocol
+// To regenerate from the 1-shard runs (only for an intentional protocol
 // change):
 //   DRS_UPDATE_GOLDEN=1 ./build/tests/test_sharded_differential
 #include <gtest/gtest.h>
@@ -39,13 +39,10 @@
 
 #include "chaos/campaign.hpp"
 #include "chaos/schedule.hpp"
-#include "cluster/fleet.hpp"
 #include "cluster/partition.hpp"
 #include "net/failure.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/tracer.hpp"
-#include "sim/simulator.hpp"
 #include "util/hash.hpp"
 
 namespace drs {
@@ -196,29 +193,6 @@ cluster::FleetConfig fleet_config(std::uint16_t clusters,
   return config;
 }
 
-std::string run_legacy(const Scenario& scenario) {
-  sim::Simulator sim;
-  obs::Tracer tracer(std::size_t{1} << 20);
-  sim.set_tracer(&tracer);
-  cluster::Fleet fleet(sim, scenario.fleet);
-  fleet.start();
-  for (const net::FailureAction& action : scenario.actions) {
-    cluster::Fleet* target = &fleet;
-    const net::ComponentIndex component = action.component;
-    const bool fail = action.fail;
-    sim.schedule_at(action.at, [target, component, fail] {
-      target->set_component_failed(component, fail);
-    });
-  }
-  sim.run_until(util::SimTime::zero() + scenario.run);
-  EXPECT_EQ(tracer.evicted(), 0u)
-      << scenario.name << ": legacy ring too small for a full-trace compare";
-  obs::MetricRegistry registry;
-  fleet.collect_metrics(registry);
-  return corpus_line(scenario.name, tracer.events(), registry,
-                     fleet.total_probes_sent(), fleet.all_pristine());
-}
-
 std::string run_sharded(const Scenario& scenario, std::uint32_t shards) {
   cluster::ShardedFleetConfig config;
   config.fleet = scenario.fleet;
@@ -244,12 +218,10 @@ std::string run_sharded(const Scenario& scenario, std::uint32_t shards) {
 
 void run_scenario(const Scenario& scenario) {
   SCOPED_TRACE(scenario.name);
-  const std::string legacy = run_legacy(scenario);
-  if (updating()) update_golden(legacy);
-  expect_golden(legacy, "legacy Fleet");
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    expect_golden(run_sharded(scenario, shards),
-                  "ShardedFleet @" + std::to_string(shards));
+    const std::string line = run_sharded(scenario, shards);
+    if (shards == 1 && updating()) update_golden(line);
+    expect_golden(line, "ShardedFleet @" + std::to_string(shards));
   }
 }
 
@@ -327,7 +299,7 @@ TEST(ShardedDifferential, TargetedFailures) {
   }
   {
     // A lossy relay hub: the oracle must draw the loss RNG in exactly the
-    // legacy transmit order for every lost echo to match.
+    // canonical transmit order for every lost echo to match.
     Scenario s{"relay-lossy", fleet_config(4, 4), {},
                util::Duration::millis(1800)};
     s.fleet.relay_backplane.frame_loss_rate = 0.05;

@@ -262,6 +262,12 @@ TEST(ShardedProperty, ClusterCountOutsideRangeRejected) {
     EXPECT_THROW(cluster::ShardedFleet{config}, std::invalid_argument)
         << clusters;
   }
+  // The largest fleet the relay subnet can address still builds.
+  config.fleet.clusters = cluster::FleetConfig::kMaxClusters;
+  config.fleet.nodes_per_cluster = 2;
+  config.trace_capacity = 0;
+  cluster::ShardedFleet fleet(config);
+  EXPECT_EQ(fleet.cluster_count(), cluster::FleetConfig::kMaxClusters);
 }
 
 }  // namespace
