@@ -60,7 +60,7 @@ auto run_indexed_jobs(std::uint64_t count, unsigned threads, Fn&& fn)
   workers.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
     workers.emplace_back([&] {
-      while (!failed.load(std::memory_order_relaxed)) {
+      while (!failed.load()) {
         const std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) break;
         try {
@@ -71,7 +71,7 @@ auto run_indexed_jobs(std::uint64_t count, unsigned threads, Fn&& fn)
             error_index = i;
             error = std::current_exception();
           }
-          failed.store(true, std::memory_order_relaxed);
+          failed.store(true);
         }
       }
     });
