@@ -18,8 +18,7 @@
 // That global counter cannot be reproduced online across threads, but its
 // *order* can: a rank is claimed either during setup (single-threaded,
 // serialized across shards in canonical construction order) or during the
-// execution of some parent event. Ordering
-// events by the lexicographic key
+// execution of some parent event. Ordering events by the lexicographic key
 //
 //     (time, parent's execution order, push index within the parent)
 //
