@@ -37,80 +37,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "chaos/campaign.hpp"
 #include "core/system.hpp"
+#include "corpus_golden.hpp"
 #include "net/network.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/simulator.hpp"
-#include "util/hash.hpp"
 
 namespace drs {
 namespace {
 
 constexpr const char* kGoldenName = "probe_corpus.txt";
-
-// Every trace kind except kQueueHighWater (see the file comment).
-std::vector<obs::TraceEvent> protocol_events(
-    const std::vector<obs::TraceEvent>& events) {
-  return obs::filter_kinds(
-      events,
-      {obs::TraceEventKind::kPingSent, obs::TraceEventKind::kPingLost,
-       obs::TraceEventKind::kProbeLost, obs::TraceEventKind::kLinkChange,
-       obs::TraceEventKind::kDetourInstall, obs::TraceEventKind::kDetourSwitch,
-       obs::TraceEventKind::kDetourTeardown,
-       obs::TraceEventKind::kDiscoveryStart,
-       obs::TraceEventKind::kRelaySelected, obs::TraceEventKind::kLeaseGranted,
-       obs::TraceEventKind::kLeaseExpired, obs::TraceEventKind::kTcpRetransmit,
-       obs::TraceEventKind::kTcpRto});
-}
-
-// Drops the flat "sim.<name>":<int> entries from a canonical metrics JSON
-// (names are keys in sorted flat maps, values plain integers, so each entry
-// ends at the next ',' or '}').
-std::string without_sim_metrics(std::string json) {
-  std::size_t pos;
-  while ((pos = json.find("\"sim.")) != std::string::npos) {
-    const std::size_t colon = json.find(':', pos);
-    if (colon == std::string::npos) break;
-    const std::size_t end = json.find_first_of(",}", colon);
-    if (end == std::string::npos) break;
-    if (json[end] == ',') {
-      json.erase(pos, end - pos + 1);
-    } else {
-      std::size_t begin = pos;
-      if (begin > 0 && json[begin - 1] == ',') --begin;
-      json.erase(begin, end - begin);
-    }
-  }
-  return json;
-}
-
-/// "events=<n> kinds=<kind>:<count>,..." over the protocol trace (kinds in
-/// enum order, zero counts omitted), then the canonical JSON's FNV-1a-64.
-std::string trace_summary(const std::vector<obs::TraceEvent>& events) {
-  std::map<obs::TraceEventKind, std::size_t> counts;
-  for (const obs::TraceEvent& e : events) ++counts[e.kind];
-  std::string out = "events=" + std::to_string(events.size()) + " kinds=";
-  bool first = true;
-  for (const auto& [kind, count] : counts) {
-    if (!first) out += ',';
-    first = false;
-    out += obs::to_string(kind);
-    out += ':' + std::to_string(count);
-  }
-  out += " trace_fnv=" +
-         util::to_hex64(util::fnv1a64(obs::to_canonical_json(events)));
-  return out;
-}
 
 std::string join_ns(const std::vector<std::int64_t>& values) {
   std::string out;
@@ -164,7 +105,8 @@ Observed run_cluster(const std::string& label, std::uint16_t n,
   }
   obs::MetricRegistry registry;
   core::snapshot_metrics(system, registry);
-  const std::string metrics_json = without_sim_metrics(registry.to_json());
+  const std::string metrics_json =
+      golden::strip_metric_prefixes(registry.to_json(), {"sim."});
 
   Observed observed;
   observed.probes_sent = system.total_probes_sent();
@@ -174,7 +116,8 @@ Observed run_cluster(const std::string& label, std::uint16_t n,
   system.stop();
   EXPECT_EQ(tracer.evicted(), 0u) << "trace ring too small for n=" << n;
   observed.line =
-      label + ' ' + trace_summary(protocol_events(tracer.events())) +
+      label + ' ' +
+      golden::trace_summary(golden::protocol_events(tracer.events())) +
       " metrics_fnv=" + util::to_hex64(util::fnv1a64(metrics_json)) +
       " probes_sent=" + std::to_string(observed.probes_sent) +
       " control_messages=" + std::to_string(control) +
@@ -204,7 +147,7 @@ Observed run_chaos(std::uint64_t seed, std::uint64_t campaign) {
   observed.line =
       "chaos/seed=" + util::to_hex64(seed) + "/campaign=" +
       std::to_string(campaign) + ' ' +
-      trace_summary(protocol_events(result.trace)) +
+      golden::trace_summary(golden::protocol_events(result.trace)) +
       " actions_applied=" + std::to_string(result.actions_applied) +
       " checks=" + std::to_string(result.checks) +
       " failover_ns=" + join_ns(failover_ns) +
@@ -216,62 +159,12 @@ std::string golden_path() {
   return std::string(DRS_GOLDEN_DIR) + "/" + kGoldenName;
 }
 
-bool updating() {
-  const char* update = std::getenv("DRS_UPDATE_GOLDEN");
-  return update != nullptr && *update != '\0';
-}
-
-std::string label_of(const std::string& line) {
-  return line.substr(0, line.find(' '));
-}
-
-/// The golden file's lines as (label, line), in file order.
-std::vector<std::pair<std::string, std::string>> read_golden() {
-  std::vector<std::pair<std::string, std::string>> lines;
-  std::ifstream in(golden_path(), std::ios::binary);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    lines.emplace_back(label_of(line), line);
-  }
-  return lines;
-}
-
-/// Rewrites `line`'s entry in the golden file (appending a new label), so
-/// the three cases regenerate the file in corpus order.
-void update_golden(const std::string& line) {
-  auto lines = read_golden();
-  const std::string label = label_of(line);
-  bool replaced = false;
-  for (auto& [l, text] : lines) {
-    if (l == label) {
-      text = line;
-      replaced = true;
-    }
-  }
-  if (!replaced) lines.emplace_back(label, line);
-  std::ofstream out(golden_path(), std::ios::binary);
-  ASSERT_TRUE(out) << "cannot write " << golden_path();
-  for (const auto& [l, text] : lines) out << text << '\n';
-}
-
 /// Checks the scenario's line against the golden (DRS_UPDATE_GOLDEN=1
 /// rewrites it first).
 void expect_golden(const Observed& observed) {
-  const std::string& line = observed.line;
-  if (updating()) update_golden(line);
-  const std::string label = label_of(line);
-  for (const auto& [l, text] : read_golden()) {
-    if (l == label) {
-      EXPECT_EQ(line, text)
-          << "scenario " << label << " drifted from " << golden_path()
-          << " (regenerate with DRS_UPDATE_GOLDEN=1 only if the protocol "
-             "change is intentional)";
-      return;
-    }
-  }
-  ADD_FAILURE() << "no line for " << label << " in " << golden_path()
-                << " — regenerate with DRS_UPDATE_GOLDEN=1";
+  if (golden::updating()) golden::update_line(golden_path(), observed.line);
+  golden::expect_line(golden_path(), observed.line,
+                      "scenario " + golden::label_of(observed.line));
 }
 
 TEST(ProbeGolden, HealthyClustersMatchGolden) {

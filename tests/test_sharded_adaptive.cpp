@@ -22,6 +22,7 @@
 
 #include "chaos/campaign.hpp"
 #include "cluster/partition.hpp"
+#include "corpus_golden.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -58,24 +59,9 @@ struct FleetRun {
 
 // Keeps only the semantic metric families every execution mode must agree
 // on; per-queue (sim./arena./shard.) and engine diagnostics are mode-local.
-std::string semantic_only(std::string json) {
-  for (const char* prefix : {"\"sim.", "\"arena.", "\"shard.", "\"engine."}) {
-    std::size_t pos;
-    while ((pos = json.find(prefix)) != std::string::npos) {
-      const std::size_t colon = json.find(':', pos);
-      if (colon == std::string::npos) break;
-      const std::size_t end = json.find_first_of(",}", colon);
-      if (end == std::string::npos) break;
-      if (json[end] == ',') {
-        json.erase(pos, end - pos + 1);
-      } else {
-        std::size_t begin = pos;
-        if (begin > 0 && json[begin - 1] == ',') --begin;
-        json.erase(begin, end - begin);
-      }
-    }
-  }
-  return json;
+std::string semantic_only(const std::string& json) {
+  return golden::strip_metric_prefixes(json,
+                                       {"sim.", "arena.", "shard.", "engine."});
 }
 
 void schedule_mixed_outages(cluster::ShardedFleet& fleet) {

@@ -30,18 +30,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "chaos/campaign.hpp"
 #include "chaos/schedule.hpp"
 #include "cluster/partition.hpp"
+#include "corpus_golden.hpp"
 #include "net/failure.hpp"
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/hash.hpp"
 
@@ -50,131 +46,22 @@ namespace {
 
 constexpr const char* kGoldenName = "fleet_corpus.txt";
 
-// Every trace kind except kQueueHighWater (see the file comment).
-std::vector<obs::TraceEvent> protocol_events(
-    const std::vector<obs::TraceEvent>& events) {
-  return obs::filter_kinds(
-      events,
-      {obs::TraceEventKind::kPingSent, obs::TraceEventKind::kPingLost,
-       obs::TraceEventKind::kProbeLost, obs::TraceEventKind::kLinkChange,
-       obs::TraceEventKind::kDetourInstall, obs::TraceEventKind::kDetourSwitch,
-       obs::TraceEventKind::kDetourTeardown,
-       obs::TraceEventKind::kDiscoveryStart,
-       obs::TraceEventKind::kRelaySelected, obs::TraceEventKind::kLeaseGranted,
-       obs::TraceEventKind::kLeaseExpired, obs::TraceEventKind::kTcpRetransmit,
-       obs::TraceEventKind::kTcpRto});
-}
-
-// Drops flat "<prefix><name>":<int> entries from a canonical metrics JSON
-// (names are keys in sorted flat maps, values plain integers, so each entry
-// ends at the next ',' or '}').
-std::string strip_metric_prefixes(std::string json) {
-  for (const char* prefix : {"\"sim.", "\"arena.", "\"shard.", "\"engine."}) {
-    std::size_t pos;
-    while ((pos = json.find(prefix)) != std::string::npos) {
-      const std::size_t colon = json.find(':', pos);
-      if (colon == std::string::npos) break;
-      const std::size_t end = json.find_first_of(",}", colon);
-      if (end == std::string::npos) break;
-      if (json[end] == ',') {
-        json.erase(pos, end - pos + 1);
-      } else {
-        std::size_t begin = pos;
-        if (begin > 0 && json[begin - 1] == ',') --begin;
-        json.erase(begin, end - begin);
-      }
-    }
-  }
-  return json;
-}
-
-/// "events=<n> kinds=<kind>:<count>,..." over the protocol trace (kinds in
-/// enum order, zero counts omitted), then the canonical JSON's FNV-1a-64.
-std::string trace_summary(const std::vector<obs::TraceEvent>& events) {
-  std::map<obs::TraceEventKind, std::size_t> counts;
-  for (const obs::TraceEvent& e : events) ++counts[e.kind];
-  std::string out = "events=" + std::to_string(events.size()) + " kinds=";
-  bool first = true;
-  for (const auto& [kind, count] : counts) {
-    if (!first) out += ',';
-    first = false;
-    out += obs::to_string(kind);
-    out += ':' + std::to_string(count);
-  }
-  out += " trace_fnv=" +
-         util::to_hex64(util::fnv1a64(obs::to_canonical_json(events)));
-  return out;
-}
-
 /// One scenario's corpus line: "<label> events=... kinds=... trace_fnv=...
 /// metrics_fnv=... probes_sent=... pristine=...".
 std::string corpus_line(const std::string& label,
                         const std::vector<obs::TraceEvent>& trace,
                         const obs::MetricRegistry& registry,
                         std::uint64_t probes_sent, bool pristine) {
-  return label + ' ' + trace_summary(protocol_events(trace)) +
-         " metrics_fnv=" +
-         util::to_hex64(
-             util::fnv1a64(strip_metric_prefixes(registry.to_json()))) +
+  const std::string metrics = golden::strip_metric_prefixes(
+      registry.to_json(), {"sim.", "arena.", "shard.", "engine."});
+  return label + ' ' + golden::trace_summary(golden::protocol_events(trace)) +
+         " metrics_fnv=" + util::to_hex64(util::fnv1a64(metrics)) +
          " probes_sent=" + std::to_string(probes_sent) +
          " pristine=" + (pristine ? "1" : "0");
 }
 
 std::string golden_path() {
   return std::string(DRS_GOLDEN_DIR) + "/" + kGoldenName;
-}
-
-bool updating() {
-  const char* update = std::getenv("DRS_UPDATE_GOLDEN");
-  return update != nullptr && *update != '\0';
-}
-
-std::string label_of(const std::string& line) {
-  return line.substr(0, line.find(' '));
-}
-
-/// The golden file's lines as (label, line), in file order.
-std::vector<std::pair<std::string, std::string>> read_golden() {
-  std::vector<std::pair<std::string, std::string>> lines;
-  std::ifstream in(golden_path(), std::ios::binary);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    lines.emplace_back(label_of(line), line);
-  }
-  return lines;
-}
-
-/// Rewrites `line`'s entry in the golden file (appending a new label), so
-/// the four cases regenerate the file in corpus order.
-void update_golden(const std::string& line) {
-  auto lines = read_golden();
-  const std::string label = label_of(line);
-  bool replaced = false;
-  for (auto& [l, text] : lines) {
-    if (l == label) {
-      text = line;
-      replaced = true;
-    }
-  }
-  if (!replaced) lines.emplace_back(label, line);
-  std::ofstream out(golden_path(), std::ios::binary);
-  ASSERT_TRUE(out) << "cannot write " << golden_path();
-  for (const auto& [l, text] : lines) out << text << '\n';
-}
-
-/// Checks one run's line against the scenario's golden line; `run` names
-/// the execution path in the failure message.
-void expect_golden(const std::string& line, const std::string& run) {
-  const std::string label = label_of(line);
-  for (const auto& [l, text] : read_golden()) {
-    if (l == label) {
-      EXPECT_EQ(line, text) << run << " drifted from " << golden_path();
-      return;
-    }
-  }
-  ADD_FAILURE() << "no line for " << label << " in " << golden_path()
-                << " — regenerate with DRS_UPDATE_GOLDEN=1";
 }
 
 struct Scenario {
@@ -220,8 +107,11 @@ void run_scenario(const Scenario& scenario) {
   SCOPED_TRACE(scenario.name);
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     const std::string line = run_sharded(scenario, shards);
-    if (shards == 1 && updating()) update_golden(line);
-    expect_golden(line, "ShardedFleet @" + std::to_string(shards));
+    if (shards == 1 && golden::updating()) {
+      golden::update_line(golden_path(), line);
+    }
+    golden::expect_line(golden_path(), line,
+                        "ShardedFleet @" + std::to_string(shards));
   }
 }
 
