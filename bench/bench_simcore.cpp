@@ -9,12 +9,13 @@
 //               N=254, the largest cluster the addressing plan holds,
 //               stresses the batched sweep far past the deployed scale
 //   fleet       the paper's whole deployment — 27 clusters of 8 plus the
-//               inter-cluster relay mesh — at 1/2/4/8 shards in both
-//               ordering lanes (plus a dense 8x64 variant): sim_events must
-//               agree exactly across all of them — the determinism contract
-//               surfacing as a bench invariant, checked before the report
-//               is written — while events/s charts the window overhead and
-//               windows charts adaptive coalescing
+//               inter-cluster relay mesh — at 1/2/4/8 shards, traced (the
+//               journal and window merge) and untraced (neither), plus a
+//               dense 8x64 variant untraced: sim_events must agree exactly
+//               across all of them — the determinism contract surfacing as
+//               a bench invariant, checked before the report is written —
+//               while events/s charts the window overhead and windows
+//               charts adaptive coalescing
 //   chaos batch a sequential slice of the chaos-campaign family, i.e. the
 //               workload the survivability results are produced by
 //
@@ -153,7 +154,7 @@ StormNumbers run_probe_storm(std::uint16_t nodes, util::Duration span) {
 
 struct ShardedFleetNumbers {
   std::uint32_t shards = 0;
-  const char* ordering = "certified";
+  const char* lane = "untraced";
   std::uint64_t sim_events = 0;
   std::uint64_t windows = 0;
   double wall_seconds = 0.0;
@@ -163,16 +164,14 @@ struct ShardedFleetNumbers {
 ShardedFleetNumbers run_fleet_sharded(std::uint16_t clusters,
                                       std::uint16_t nodes,
                                       util::Duration span,
-                                      std::uint32_t shards,
-                                      sim::Ordering ordering) {
+                                      std::uint32_t shards, bool traced) {
   cluster::ShardedFleetConfig config;
   config.fleet.clusters = clusters;
   config.fleet.nodes_per_cluster = nodes;
   config.shards = shards;
-  // Untraced on purpose: the tiers measure engine overhead, not ring-buffer
-  // writes.
-  config.trace_capacity = 0;
-  config.ordering = ordering;
+  // A traced run pays the journal, the window merge and the trace rings;
+  // the ring holds the busiest 27x8 window at one shard.
+  config.trace_capacity = traced ? std::size_t{1} << 16 : 0;
   cluster::ShardedFleet fleet(config);
   fleet.start();
   const double t0 = now_seconds();
@@ -181,8 +180,7 @@ ShardedFleetNumbers run_fleet_sharded(std::uint16_t clusters,
 
   ShardedFleetNumbers numbers;
   numbers.shards = shards;
-  numbers.ordering =
-      ordering == sim::Ordering::kCertified ? "certified" : "counter-equal";
+  numbers.lane = traced ? "traced" : "untraced";
   numbers.sim_events = fleet.engine().events_executed();
   numbers.windows = fleet.engine().windows_run();
   numbers.wall_seconds = t1 - t0;
@@ -202,9 +200,9 @@ bool rows_agree(const char* tier,
     std::fprintf(stderr,
                  "%s: %s@%u executed %llu events but %s@%u executed %llu; "
                  "the shard count or lane changed the simulation\n",
-                 tier, rows.front().ordering, rows.front().shards,
+                 tier, rows.front().lane, rows.front().shards,
                  static_cast<unsigned long long>(rows.front().sim_events),
-                 run.ordering, run.shards,
+                 run.lane, run.shards,
                  static_cast<unsigned long long>(run.sim_events));
     return false;
   }
@@ -249,7 +247,7 @@ std::string to_json(const QueueNumbers& queue,
                     const ChaosNumbers& chaos_batch) {
   util::JsonWriter json;
   json.begin_object();
-  json.field("schema", "bench_simcore.v5");
+  json.field("schema", "bench_simcore.v6");
   json.key("queue");
   json.begin_object()
       .field("push_pop_ns_per_event", queue.push_pop_ns)
@@ -272,7 +270,7 @@ std::string to_json(const QueueNumbers& queue,
   for (const ShardedFleetNumbers& run : sharded) {
     json.begin_object()
         .field("shards", static_cast<std::uint64_t>(run.shards))
-        .field("ordering", run.ordering)
+        .field("lane", run.lane)
         .field("sim_events", run.sim_events)
         .field("windows", run.windows)
         .field("wall_seconds", run.wall_seconds)
@@ -285,7 +283,7 @@ std::string to_json(const QueueNumbers& queue,
   for (const ShardedFleetNumbers& run : sharded_dense) {
     json.begin_object()
         .field("shards", static_cast<std::uint64_t>(run.shards))
-        .field("ordering", run.ordering)
+        .field("lane", run.lane)
         .field("sim_events", run.sim_events)
         .field("windows", run.windows)
         .field("wall_seconds", run.wall_seconds)
@@ -341,23 +339,10 @@ int main(int argc, char** argv) {
       {{"seed", "seed for the queue microbench streams (default 7)"},
        {"storm-span-ms", "simulated span per probe storm (default 500)"},
        {"chaos-campaigns", "campaigns in the chaos batch (default 50)"},
-       {"ordering",
-        "restrict the sharded-fleet tiers to one lane: certified or "
-        "counter-equal (default: both)"},
        {"json-out", "write the canonical JSON report to this path"},
        {"timing", "also run google-benchmark timing kernels"}});
   if (!flags) return 1;
   if (flags->help_requested()) return 0;
-
-  const std::string ordering_flag = flags->get_string("ordering", "");
-  if (!ordering_flag.empty() && ordering_flag != "certified" &&
-      ordering_flag != "counter-equal") {
-    std::fprintf(stderr,
-                 "--ordering must be `certified` or `counter-equal`, got "
-                 "`%s`\n",
-                 ordering_flag.c_str());
-    return 1;
-  }
 
   const auto seed = static_cast<std::uint64_t>(flags->get_int("seed", 7));
   const auto span =
@@ -386,31 +371,26 @@ int main(int argc, char** argv) {
   util::export_table_csv("simcore_probe_storm", table);
   std::printf("%s\n", table.to_text().c_str());
 
-  // The paper's deployment shape in both ordering lanes (unless --ordering
-  // restricts to one). sim_events is identical across shard counts AND
-  // lanes (the determinism contract); only wall clock moves, so events/s is
-  // a clean speedup axis.
-  std::vector<sim::Ordering> orderings;
-  if (ordering_flag.empty() || ordering_flag == "certified") {
-    orderings.push_back(sim::Ordering::kCertified);
-  }
-  if (ordering_flag.empty() || ordering_flag == "counter-equal") {
-    orderings.push_back(sim::Ordering::kCounterEqual);
-  }
+  // The paper's deployment shape, traced and untraced. sim_events is
+  // identical across shard counts AND lanes (the determinism contract); only
+  // wall clock moves, so events/s is a clean speedup axis. The 60 sim-s span
+  // keeps the fastest row's sample above half a second of wall time.
   std::vector<ShardedFleetNumbers> sharded;
-  util::Table sharded_table({"shards", "ordering", "sim events", "windows",
-                             "wall ms", "events/s"});
-  for (const sim::Ordering ordering : orderings) {
+  util::Table sharded_table(
+      {"shards", "lane", "sim events", "windows", "wall ms", "events/s"});
+  const auto add_row = [](util::Table& rows, const ShardedFleetNumbers& run) {
+    char wall[32], rate[32];
+    std::snprintf(wall, sizeof wall, "%.1f", run.wall_seconds * 1e3);
+    std::snprintf(rate, sizeof rate, "%.0f", run.events_per_sec);
+    rows.add_row({std::to_string(run.shards), run.lane,
+                   std::to_string(run.sim_events),
+                   std::to_string(run.windows), wall, rate});
+  };
+  for (const bool traced : {true, false}) {
     for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      sharded.push_back(run_fleet_sharded(27, 8, util::Duration::seconds(2),
-                                          shards, ordering));
-      const ShardedFleetNumbers& run = sharded.back();
-      char wall[32], rate[32];
-      std::snprintf(wall, sizeof wall, "%.1f", run.wall_seconds * 1e3);
-      std::snprintf(rate, sizeof rate, "%.0f", run.events_per_sec);
-      sharded_table.add_row({std::to_string(run.shards), run.ordering,
-                             std::to_string(run.sim_events),
-                             std::to_string(run.windows), wall, rate});
+      sharded.push_back(run_fleet_sharded(27, 8, util::Duration::seconds(60),
+                                          shards, traced));
+      add_row(sharded_table, sharded.back());
     }
   }
   util::export_table_csv("simcore_fleet_sharded", sharded_table);
@@ -421,21 +401,12 @@ int main(int argc, char** argv) {
   // the regime where the worker threads outrun the barrier cost (the sparse
   // 27x8 shape above deliberately shows the opposite regime).
   std::vector<ShardedFleetNumbers> sharded_dense;
-  util::Table dense_table({"shards", "ordering", "sim events", "windows",
-                           "wall ms", "events/s"});
-  for (const sim::Ordering ordering : orderings) {
-    for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-      sharded_dense.push_back(
-          run_fleet_sharded(8, 64, util::Duration::seconds(1), shards,
-                            ordering));
-      const ShardedFleetNumbers& run = sharded_dense.back();
-      char wall[32], rate[32];
-      std::snprintf(wall, sizeof wall, "%.1f", run.wall_seconds * 1e3);
-      std::snprintf(rate, sizeof rate, "%.0f", run.events_per_sec);
-      dense_table.add_row({std::to_string(run.shards), run.ordering,
-                           std::to_string(run.sim_events),
-                           std::to_string(run.windows), wall, rate});
-    }
+  util::Table dense_table(
+      {"shards", "lane", "sim events", "windows", "wall ms", "events/s"});
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+    sharded_dense.push_back(run_fleet_sharded(
+        8, 64, util::Duration::seconds(1), shards, /*traced=*/false));
+    add_row(dense_table, sharded_dense.back());
   }
   util::export_table_csv("simcore_fleet_sharded_dense", dense_table);
   std::printf("fleet (sharded, 8x64):\n%s\n", dense_table.to_text().c_str());

@@ -81,30 +81,30 @@ net::PayloadPtr slab_ptr(const proto::IcmpPayload* payload) {
 // boundary hook appends an Offer to its shard's private buffer (worker
 // thread, no locks; the coordinator reads the buffers only while workers are
 // parked at the window barrier). At every window merge the coordinator
-// resolves the offers' lineage keys, interleaves them with the registered
-// failure transitions in exact canonical (time, rank) order, and replays
-// Backplane::transmit_hub verbatim: FIFO serialization against busy_until,
-// the backlog bound, the loss RNG stream (same seed, same draw order), and
-// the failure accounting (dropped_failed / lost_in_flight). Successful
-// offers become pending Dues; the flush hook releases each Due as a foreign
-// event once its arrival falls inside the upcoming window — unless an
-// effective failure lands at or before the arrival, in which case the Due
+// sorts the offers, interleaves them with the registered failure
+// transitions in exact canonical (time, rank) order (see on_merge), and
+// replays Backplane::transmit_hub verbatim: FIFO serialization against
+// busy_until, the backlog bound, the loss RNG stream (same seed, same draw
+// order), and the failure accounting (dropped_failed / lost_in_flight).
+// Successful offers become pending Dues; the flush hook releases each Due as
+// a foreign event once its arrival falls inside the upcoming window — unless
+// an effective failure lands at or before the arrival, in which case the Due
 // stays queued and is counted lost when the replay reaches that transition.
 //
 // "Canonical" below names the order of one queue holding every event: the
-// whole fleet on one simulator, its relay a real hub Backplane. That is
-// the order the certified lane reproduces at any shard count.
+// whole fleet on one simulator, its relay a real hub Backplane. Traced runs
+// reproduce that order at any shard count; untraced runs reproduce its
+// counters.
 // ---------------------------------------------------------------------------
 struct ShardedFleet::RelayOracle {
-  /// One frame offered to the relay, captured at the shard boundary. In the
-  /// certified lane `meta` is the transmitting event's consumed child slot:
-  /// its parent field recovers the event's own key (ordering the offer among
-  /// all events), and its resolution is the delivery's key (where the
-  /// canonical hub claims the stream entry's rank). In the counter-equal lane the key is
-  /// synthesized from (cluster, capture index) instead — see on_merge. The
-  /// ICMP payload rides by value (frame.packet.payload is detached) so the
-  /// capture path never heap-allocates; `wire_bytes` is latched before the
-  /// detach for the replay's serialization math.
+  /// One frame offered to the relay, captured at the shard boundary. In
+  /// traced runs `meta` is the transmitting event's consumed child slot; its
+  /// resolution is the delivery's key (where the canonical hub claims the
+  /// stream entry's rank). The replay order comes from (t_ns, cluster) and
+  /// the capture position in either run, see on_merge. The ICMP payload
+  /// rides by value (frame.packet.payload is detached) so the capture path
+  /// never heap-allocates; `wire_bytes` is latched before the detach for the
+  /// replay's serialization math.
   struct Offer {
     std::int64_t t_ns = 0;
     sim::OrderingJournal::Meta meta;
@@ -135,19 +135,19 @@ struct ShardedFleet::RelayOracle {
     net::MacAddr sender{};
   };
 
-  /// Offer with its keys resolved against the merged window log.
+  /// Offer with its replay key and, in traced runs, its delivery's key
+  /// resolved against the merged window log.
   struct Resolved {
     std::int64_t t_ns = 0;
-    sim::PushKey event_key;   // the transmitting event's key
-    std::uint64_t intra = 0;  // offer order within that event
+    sim::PushKey key;  // (cluster + 1, capture index), see on_merge
     sim::PushKey due_key;
     Offer* offer = nullptr;
   };
 
   RelayOracle(const net::Backplane::Config& relay_config, std::uint32_t shards,
-              bool certified_lane)
+              bool traced_run)
       : config(relay_config),
-        certified(certified_lane),
+        traced(traced_run),
         rng(relay_config.seed, net::kNetworkA),
         offers(shards),
         staged(shards),
@@ -182,9 +182,9 @@ struct ShardedFleet::RelayOracle {
            "window bound counts only tagged causes; see docs/SHARDING.md)");
     Offer offer;
     offer.t_ns = engine.simulator(shard).now().ns();
-    // Gateway hosts are numbered 0xF000 + cluster; the cluster index is the
-    // counter-equal lane's replay key (canonical rank order is cluster-major
-    // at equal times, see on_merge).
+    // Gateway hosts are numbered 0xF000 + cluster; the cluster index leads
+    // the replay key (canonical rank order is cluster-major at equal times,
+    // see on_merge).
     offer.cluster = static_cast<std::uint16_t>(sender.owner() - 0xF000u);
     offer.wire_bytes = frame.wire_bytes();
     offer.frame = frame;
@@ -198,7 +198,7 @@ struct ShardedFleet::RelayOracle {
       assert(frame.packet.payload == nullptr &&
              "only ICMP payloads cross the relay in the fleet topology");
     }
-    if (certified) offer.meta = engine.journal(shard).make_child_meta();
+    if (traced) offer.meta = engine.journal(shard).make_child_meta();
     offers[shard].push_back(std::move(offer));
   }
 
@@ -341,48 +341,52 @@ struct ShardedFleet::RelayOracle {
   }
 
   /// Merge hook: replay the window's offers and any transitions due before
-  /// its end, in global (time, key) order — the exact chronological order the
+  /// its end in canonical chronological order — the order in which the
   /// canonical run issues its transmit() calls and set_failed() events.
+  /// Every transmit that passes the failure and backlog checks draws the
+  /// loss RNG exactly once, so replaying transmits in canonical order draws
+  /// the loss stream in canonical order too: a lossy relay needs no other
+  /// order than a lossless one.
   ///
-  /// Counter-equal lane: with no journal there are no lineage keys, so the
-  /// replay key is synthesized as (time, cluster + 1, per-shard capture
-  /// index). For the fleet this IS canonical chronological order: gateway
-  /// timers were created cluster-major during serialized setup, so at equal
-  /// times canonical rank order is cluster order; same-cluster offers at one
-  /// time keep their shard-local execution (= capture) order; and the +1
-  /// keeps every offer after the setup-band transition keys, which is where
-  /// one queue puts injection events relative to same-time runtime traffic.
+  /// Offers replay by (time, cluster + 1, capture index), traced or not.
+  /// For the fleet that key IS canonical transmit order:
+  ///   - Same-instant offers from different clusters come from gateway
+  ///     ticks. The gateway timers were started cluster-major during
+  ///     serialized setup with one period, and each tick re-arms its own
+  ///     timer, so at every tick instant the ticks hold ranks in cluster
+  ///     order. Hub deliveries (and the echo replies they trigger) land one
+  ///     serialization plus propagation after a transmit, microseconds off
+  ///     the tick grid, and the hub's FIFO stream never delivers two frames
+  ///     at one instant. A delivery landing exactly on another cluster's
+  ///     tick would be ordered by cluster where one queue orders it by rank.
+  ///   - One cluster's offers are captured on one shard, in that shard's
+  ///     execution order, which is canonical order restricted to the shard.
+  ///   - A transition holds a setup rank, so it precedes every runtime-pushed
+  ///     transmitter at its instant. The only setup-pushed transmitters are
+  ///     the gateways' first ticks at t = 0, and every injection is scheduled
+  ///     after start(), so at t = 0 the offers go first.
+  /// The key needs no journal. Traced runs take only each delivery's key
+  /// (due_key, where the canonical hub claims the stream entry's rank) from
+  /// it; untraced runs number their deliveries instead.
   void on_merge(ShardedFleet& fleet, std::int64_t end_ns) {
     sim::ShardedEngine& engine = fleet.engine_;
     scratch.clear();
     for (std::uint32_t s = 0; s < engine.shard_count(); ++s) {
-      if (!certified) {
-        std::uint64_t position = 0;
-        for (Offer& offer : offers[s]) {
-          scratch.push_back(Resolved{
-              offer.t_ns, sim::PushKey{std::uint64_t{offer.cluster} + 1u,
-                                       position},
-              0, sim::PushKey{}, &offer});
-          ++position;
-        }
-        continue;
-      }
-      const sim::OrderingJournal& journal = engine.journal(s);
+      std::uint64_t position = 0;
       for (Offer& offer : offers[s]) {
-        assert(offer.meta.window_ref);
-        scratch.push_back(Resolved{offer.t_ns,
-                                   journal.entry_key(offer.meta.parent),
-                                   offer.meta.idx, journal.resolve(offer.meta),
-                                   &offer});
+        scratch.push_back(Resolved{
+            offer.t_ns,
+            sim::PushKey{std::uint64_t{offer.cluster} + 1u, position++},
+            traced ? engine.journal(s).resolve(offer.meta) : sim::PushKey{},
+            &offer});
       }
     }
-    // Keys are globally unique (one event key per executed event, one intra
-    // index per offer within it), so plain sort is deterministic.
+    // Keys are unique (one cluster runs on one shard, and capture positions
+    // are distinct within a shard), so plain sort is deterministic.
     std::sort(scratch.begin(), scratch.end(),
               [](const Resolved& a, const Resolved& b) {
                 if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
-                if (a.event_key != b.event_key) return a.event_key < b.event_key;
-                return a.intra < b.intra;
+                return a.key < b.key;
               });
 
     std::size_t oi = 0;
@@ -393,12 +397,9 @@ struct ShardedFleet::RelayOracle {
       if (!more_tr && !more_of) break;
       bool take_tr = more_tr;
       if (more_tr && more_of) {
-        const Transition& tr = transitions[transition_cursor];
-        const Resolved& ro = scratch[oi];
-        take_tr = tr.t_ns != ro.t_ns
-                      ? tr.t_ns < ro.t_ns
-                      : sim::PushKey{sim::kSetupParent, tr.setup_idx} <
-                            ro.event_key;
+        const std::int64_t tr_ns = transitions[transition_cursor].t_ns;
+        const std::int64_t of_ns = scratch[oi].t_ns;
+        take_tr = tr_ns != of_ns ? tr_ns < of_ns : of_ns > 0;
       }
       if (take_tr) {
         apply_transition(transitions[transition_cursor]);
@@ -446,11 +447,11 @@ struct ShardedFleet::RelayOracle {
       ++counters.lost_random;
       return;
     }
-    // Counter-equal dues need only a deterministic inbox tie-break; arrivals
-    // are strictly increasing between failure epochs, so a monotone counter
-    // key can never change execution order.
+    // Untraced dues need only a deterministic inbox tie-break; arrivals are
+    // strictly increasing between failure epochs, so a monotone counter key
+    // can never change execution order.
     const sim::PushKey key =
-        certified ? ro.due_key : sim::PushKey{sim::kGseqBase, ++ce_due_seq};
+        traced ? ro.due_key : sim::PushKey{sim::kGseqBase, ++due_seq};
     const util::SimTime arrival = busy_until + config.propagation_delay;
     dues.push_back(Due{arrival.ns(), key, std::move(ro.offer->frame),
                        ro.offer->payload, ro.offer->has_payload,
@@ -458,14 +459,14 @@ struct ShardedFleet::RelayOracle {
   }
 
   net::Backplane::Config config;
-  bool certified = true;
+  bool traced = true;
   util::Rng rng;
   bool failed = false;
   util::SimTime busy_until = util::SimTime::zero();
   double busy_seconds = 0.0;
   net::Backplane::Counters counters;
   std::int64_t ser_min_ns = 0;     // one minimum Ethernet frame on the relay
-  std::uint64_t ce_due_seq = 0;    // counter-equal synthetic due keys
+  std::uint64_t due_seq = 0;       // untraced runs' synthetic due keys
   PayloadSlab slab;                // delivered payloads, recycled per window
 
   std::vector<Transition> transitions;  // sorted by prepare()
@@ -501,15 +502,6 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
     throw std::invalid_argument(
         "ShardedFleet requires a kHub relay backplane with zero jitter");
   }
-  if (config.ordering == sim::Ordering::kCounterEqual &&
-      config.fleet.relay_backplane.frame_loss_rate > 0.0) {
-    // The loss RNG must be drawn in exact canonical transmit order; that order
-    // is certified by the journaled merge, which the counter-equal lane
-    // elides. Zero-loss relays (the paper's configuration) don't draw at all.
-    throw std::invalid_argument(
-        "counter-equal ordering requires a lossless relay "
-        "(frame_loss_rate == 0)");
-  }
   sim::ShardedEngine::Options options;
   std::uint32_t shards = config.shards == 0 ? 1u : config.shards;
   if (config.fleet.clusters > 0 && shards > config.fleet.clusters) {
@@ -521,7 +513,6 @@ sim::ShardedEngine::Options ShardedFleet::engine_options(
   options.lookahead_ns = config.fleet.relay_backplane.propagation_delay.ns();
   options.trace_capacity = config.trace_capacity;
   options.check_windows = config.check_windows;
-  options.ordering = config.ordering;
   options.adaptive_windows = config.adaptive_windows;
   options.max_window_ns = config.max_window_ns;
   options.record_window_spans = config.record_window_spans;
@@ -544,9 +535,8 @@ ShardedFleet::ShardedFleet(ShardedFleetConfig config)
     }
   }
 
-  oracle_ = std::make_unique<RelayOracle>(
-      config_.fleet.relay_backplane, shards,
-      config_.ordering == sim::Ordering::kCertified);
+  oracle_ = std::make_unique<RelayOracle>(config_.fleet.relay_backplane,
+                                          shards, engine_.traced());
   engine_.set_merge_hook([this](std::int64_t, std::int64_t end_ns) {
     oracle_->on_merge(*this, end_ns);
   });

@@ -11,15 +11,15 @@
 // The relay hub itself is SHARED state — serialization contention, the
 // backlog bound, the loss RNG stream, and failure epochs all couple every
 // gateway. Rather than lock it, each shard gets a stub Backplane whose
-// boundary hook captures offered frames (with their lineage keys, see
-// sim/sharded.hpp), and a single relay-hub ORACLE on the coordinator replays
-// the hub's transmit math over the globally merged offer order at every
-// window barrier. Deliveries come back as cross-shard foreign events at the
-// exact (time, key) coordinates one queue holding every event would have
-// popped them, so in the certified lane traces and counters are the same at
-// any shard count. tests/golden/fleet_corpus.txt pins them over a 22-scenario
-// corpus, frozen from a single-simulator implementation of the same
-// topology; docs/SHARDING.md walks through the argument.
+// boundary hook captures offered frames, and a single relay-hub ORACLE on
+// the coordinator replays the hub's transmit math over the globally ordered
+// offers at every window barrier. Deliveries come back as cross-shard
+// foreign events at the exact (time, key) coordinates one queue holding
+// every event would have popped them, so traces (in traced runs) and
+// counters are the same at any shard count. tests/golden/fleet_corpus.txt
+// pins them over a 22-scenario corpus, frozen from a single-simulator
+// implementation of the same topology; docs/SHARDING.md walks through the
+// argument.
 //
 // Contract (both enforced here):
 //   - the relay must be a kHub with zero jitter (the delivery stream the
@@ -55,19 +55,12 @@ struct ShardedFleetConfig {
   FleetConfig fleet;
   /// Worker threads; clamped to [1, fleet.clusters].
   std::uint32_t shards = 4;
-  /// Per-shard tracer ring capacity; 0 skips tracer attachment (the
-  /// configuration for benchmarking). A traced window must fit one ring, see
-  /// sim::ShardedEngine::Options::trace_capacity.
+  /// Per-shard tracer ring capacity. 0 runs untraced: no trace, no journal,
+  /// no window merge, the same counters. A traced window must fit one ring,
+  /// see sim::ShardedEngine::Options::trace_capacity.
   std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
   /// Property-test hook, see sim::ShardedEngine::Options.
   bool check_windows = false;
-  /// Output contract (sim::Ordering): kCertified reproduces the canonical
-  /// traces byte for byte at any shard count; kCounterEqual elides the
-  /// journal and merge, promising only event counts, metric totals and
-  /// invariant outcomes. The fleet's counter-equal lane refuses lossy relays
-  /// (frame_loss_rate > 0) because the loss RNG draw order is only certified
-  /// under the journaled merge.
-  sim::Ordering ordering = sim::Ordering::kCertified;
   /// Adaptive earliest-output-time windows (sim::ShardedEngine::Options);
   /// the fleet refines the engine bound with the relay oracle's state.
   bool adaptive_windows = true;

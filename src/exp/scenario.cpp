@@ -312,17 +312,15 @@ Outputs run_fleet_smoke(const ScenarioContext& ctx) {
   // than kMaxClusters.
   config.shards = static_cast<std::uint32_t>(
       int_axis_in(ctx, "fleet_smoke", "shards", 1, 1, kMaxClusters));
-  // The `ordering` axis (also the CLI's --ordering default) picks the
-  // determinism lane: "certified" journals and merges for byte-identical
-  // traces, "counter-equal" elides both and certifies counts/totals only.
-  const std::string ordering = ctx.cell.get_string("ordering", "certified");
-  if (ordering != "certified" && ordering != "counter-equal") {
-    throw std::invalid_argument("fleet_smoke: unknown ordering `" + ordering +
-                                "`");
+  // Tracing, not an axis, picks the fleet's execution path. v2 specs named
+  // an `ordering` axis; fail loudly instead of silently ignoring it.
+  if (ctx.cell.find("ordering") != nullptr) {
+    throw std::invalid_argument(
+        "fleet_smoke: there is no `ordering` axis; cells run untraced, "
+        "without the journal");
   }
-  config.ordering = ordering == "certified" ? sim::Ordering::kCertified
-                                            : sim::Ordering::kCounterEqual;
-  // Untraced: the cell reports counters and never reads the merged trace.
+  // Untraced: the cell reports counters and never reads the merged trace,
+  // so it runs without the journal and window merge.
   config.trace_capacity = 0;
   cluster::ShardedFleet fleet(config);
   fleet.start();
@@ -393,12 +391,11 @@ std::vector<Scenario> build_registry() {
        .uses_config = true,
        .run = run_policy_shootout});
   add({.family = "fleet_smoke",
-       .version = "v2",
+       .version = "v3",
        .help = "Multi-cluster fleet smoke: k clusters of n nodes plus the "
                "gateway relay mesh; probe totals, echo counters, pristine "
                "check, and relay health from the echo mesh; the `shards` "
-               "axis (1..254, default 1) sets the worker shard count; the "
-               "`ordering` axis picks certified (default) or counter-equal",
+               "axis (1..254, default 1) sets the worker shard count",
        .required = {"clusters"},
        .uses_config = true,
        .run = run_fleet_smoke});

@@ -24,10 +24,7 @@ struct FailureAction {
 
 class FailureInjector {
  public:
-  /// Injects into any failure domain — a single cluster or a whole fleet.
-  explicit FailureInjector(FailureDomain& domain);
-  /// Cluster convenience overload; additionally enables network().
-  explicit FailureInjector(ClusterNetwork& network);
+  explicit FailureInjector(ClusterNetwork& network) : network_(network) {}
 
   /// Schedules one action; may be called before or during the run.
   void schedule(FailureAction action);
@@ -57,10 +54,8 @@ class FailureInjector {
   };
   const std::vector<LogEntry>& log() const { return log_; }
   std::size_t currently_failed() const;
-  FailureDomain& domain() { return domain_; }
-  /// The cluster this injector drives; only valid when constructed from a
-  /// ClusterNetwork (the invariant checkers' single-cluster entry point).
-  ClusterNetwork& network() { return *cluster_; }
+  /// The cluster this injector drives.
+  ClusterNetwork& network() { return network_; }
 
   /// Observation hook: called after every applied action (scheduled or
   /// immediate), with the entry just logged. Runtime invariant checkers use
@@ -69,8 +64,7 @@ class FailureInjector {
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
  private:
-  FailureDomain& domain_;
-  ClusterNetwork* cluster_ = nullptr;
+  ClusterNetwork& network_;
   std::vector<LogEntry> log_;
   Observer observer_;
 };

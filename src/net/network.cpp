@@ -7,12 +7,6 @@
 
 namespace drs::net {
 
-std::string FailureDomain::describe_component(ComponentIndex index) const {
-  std::ostringstream out;
-  out << "component(" << index << ")";
-  return out.str();
-}
-
 std::string ComponentRef::to_string() const {
   std::ostringstream out;
   if (kind == Kind::kNic) {

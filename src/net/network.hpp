@@ -21,40 +21,6 @@ namespace drs::net {
 /// Flat index of a failure component; see file comment for the numbering.
 using ComponentIndex = std::uint32_t;
 
-/// Anything failure injection can address: a flat, dense component space with
-/// per-component fail/restore. ClusterNetwork exposes one cluster's 2N+2
-/// components to the FailureInjector and every chaos schedule built on it.
-/// The fleet (cluster::ShardedFleet) extends the same numbering to k
-/// clusters plus their gateways and the inter-cluster relay backplane
-/// (cluster::FleetComponents), and takes a schedule's actions up front
-/// through schedule_component_failure instead of mid-run calls.
-class FailureDomain {
- public:
-  virtual ~FailureDomain() = default;
-  virtual sim::Simulator& simulator() = 0;
-  virtual ComponentIndex component_count() const = 0;
-  virtual void set_component_failed(ComponentIndex index, bool failed) = 0;
-  virtual bool component_failed(ComponentIndex index) const = 0;
-  /// Human-readable component name for failure logs (cold path).
-  virtual std::string describe_component(ComponentIndex index) const;
-
-  /// Indices of every currently-failed component, ascending — the
-  /// network-side ground truth the invariant checkers compare against.
-  std::vector<ComponentIndex> failed_components() const {
-    std::vector<ComponentIndex> failed;
-    for (ComponentIndex c = 0; c < component_count(); ++c) {
-      if (component_failed(c)) failed.push_back(c);
-    }
-    return failed;
-  }
-  /// Restores every component to healthy.
-  void heal_all() {
-    for (ComponentIndex c = 0; c < component_count(); ++c) {
-      set_component_failed(c, false);
-    }
-  }
-};
-
 struct ComponentRef {
   enum class Kind : std::uint8_t { kNic, kBackplane };
   Kind kind = Kind::kNic;
@@ -64,7 +30,13 @@ struct ComponentRef {
   std::string to_string() const;
 };
 
-class ClusterNetwork : public FailureDomain {
+/// One cluster's hosts and backplanes, and the flat 2N+2 component space
+/// that failure injection addresses (the FailureInjector and every chaos
+/// schedule built on it). The fleet (cluster::ShardedFleet) extends the same
+/// numbering to k clusters plus their gateways and the inter-cluster relay
+/// backplane (cluster::FleetComponents), and takes a schedule's actions up
+/// front through schedule_component_failure instead of mid-run calls.
+class ClusterNetwork {
  public:
   struct Config {
     std::uint16_t node_count = 8;
@@ -80,10 +52,10 @@ class ClusterNetwork : public FailureDomain {
   /// [kMinNodes, kMaxNodes].
   ClusterNetwork(sim::Simulator& sim, Config config);
 
-  sim::Simulator& simulator() override { return sim_; }
+  sim::Simulator& simulator() { return sim_; }
   std::uint16_t node_count() const { return config_.node_count; }
   /// Total failure components: 2N NICs + 2 backplanes.
-  ComponentIndex component_count() const override {
+  ComponentIndex component_count() const {
     return static_cast<ComponentIndex>(2u * config_.node_count + 2u);
   }
 
@@ -103,10 +75,27 @@ class ClusterNetwork : public FailureDomain {
     return static_cast<ComponentIndex>(2u * config_.node_count + network);
   }
 
-  void set_component_failed(ComponentIndex index, bool failed) override;
-  bool component_failed(ComponentIndex index) const override;
-  std::string describe_component(ComponentIndex index) const override {
+  void set_component_failed(ComponentIndex index, bool failed);
+  bool component_failed(ComponentIndex index) const;
+  /// Human-readable component name for failure logs (cold path).
+  std::string describe_component(ComponentIndex index) const {
     return component(index).to_string();
+  }
+
+  /// Indices of every currently-failed component, ascending — the
+  /// network-side ground truth the invariant checkers compare against.
+  std::vector<ComponentIndex> failed_components() const {
+    std::vector<ComponentIndex> failed;
+    for (ComponentIndex c = 0; c < component_count(); ++c) {
+      if (component_failed(c)) failed.push_back(c);
+    }
+    return failed;
+  }
+  /// Restores every component to healthy.
+  void heal_all() {
+    for (ComponentIndex c = 0; c < component_count(); ++c) {
+      set_component_failed(c, false);
+    }
   }
 
  private:

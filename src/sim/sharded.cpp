@@ -102,8 +102,12 @@ void OrderingJournal::finish_window() {
   new_meta_slots_.clear();
   // Ranks claimed this window but not yet pushed (a hub stream entry whose
   // armed event is still pending) finalize the same way. A claimed rank whose
-  // event never materializes (the stream was cleared by a failure) stays
-  // behind as a finalized, never-consumed entry — bounded by lost frames.
+  // event never materializes stays behind as a finalized, never-consumed
+  // entry. That is the common case, not the rare one: the daemon's
+  // ProbeTimeoutSweeper::note_deadline claims one rank per probe and spends
+  // it only when that probe's deadline arms the scan, so almost every
+  // answered probe leaves an entry. claims_ grows with the probe count of a
+  // traced run (about 883k entries after 30 sim-s of the 27x8 fleet).
   for (const std::uint64_t rank : new_claim_ranks_) {
     if (auto it = claims_.find(rank); it != claims_.end()) {
       Meta& meta = it->second;
@@ -127,17 +131,14 @@ ShardedEngine::ShardedEngine(Options options) : options_(options) {
   if (options_.lookahead_ns < 1) options_.lookahead_ns = 1;
   shards_.reserve(options_.shards);
   for (std::uint32_t s = 0; s < options_.shards; ++s) {
-    auto shard = std::make_unique<Shard>(traced() ? options_.trace_capacity : 0);
+    auto shard = std::make_unique<Shard>(options_.trace_capacity);
+    // Untraced runs elide the journal entirely: no lineage recording on
+    // push/claim, no per-event log, no window merge (see the file comment).
     if (traced()) {
       shard->journal.set_tracer(&shard->tracer);
       shard->sim.set_tracer(&shard->tracer);
+      shard->sim.set_journal(&shard->journal);
     }
-    // The counter-equal lane elides the journal entirely: no lineage
-    // recording on push/claim, no per-event log, no window merge. Ordering
-    // of same-time cross-shard traffic is then the caller's contract (the
-    // fleet oracle replays offers in (time, cluster, capture) order, which
-    // provably matches canonical rank order for the gateway mesh).
-    if (certified()) shard->sim.set_journal(&shard->journal);
     shards_.push_back(std::move(shard));
   }
 }
@@ -272,7 +273,7 @@ std::int64_t ShardedEngine::next_boundary_bound_ns() const {
 
 void ShardedEngine::execute_window(Shard& shard, std::int64_t start_ns,
                                    std::int64_t end_ns) {
-  const bool journaled = certified();
+  const bool journaled = traced();
   const std::uint64_t executed_before = shard.sim.executed_events();
   for (;;) {
     std::int64_t local_t = 0;
@@ -288,9 +289,9 @@ void ShardedEngine::execute_window(Shard& shard, std::int64_t start_ns,
       } else if (foreign->at_ns != local_t) {
         // local first
       } else if (!journaled) {
-        // Counter-equal lane: a delivery's canonical rank is claimed at its
-        // transmit instant, before any same-time local push this window
-        // could produce — and the fleet's hub arrivals never collide with
+        // Untraced: a delivery's canonical rank is claimed at its transmit
+        // instant, before any same-time local push this window could
+        // produce — and the fleet's hub arrivals never collide with
         // pre-scheduled local events (serialization offsets are never
         // multiples of the probe cadence).
         take_foreign = true;
@@ -334,10 +335,10 @@ void ShardedEngine::execute_window(Shard& shard, std::int64_t start_ns,
 }
 
 void ShardedEngine::merge_window(std::int64_t start_ns, std::int64_t end_ns) {
-  // Counter-equal lane: no journal, no logs, no gseqs — the merge *is* the
-  // shared-medium replay. The hook orders same-time offers by its own
-  // contract (see Ordering::kCounterEqual).
-  if (!certified()) {
+  // Untraced: no journal, no logs, no gseqs — the merge *is* the
+  // shared-medium replay, and the hook orders same-time offers by its own
+  // key.
+  if (!traced()) {
     if (merge_hook_) {
       foreign_floor_ns_ = end_ns;
       merge_hook_(start_ns, end_ns);
@@ -379,9 +380,8 @@ void ShardedEngine::merge_window(std::int64_t start_ns, std::int64_t end_ns) {
   // 2. Interleave the shards' trace emissions in gseq order: each log entry
   //    owns the [trace_begin, trace_end) span it emitted, and the spans tile
   //    the window's drained range exactly (everything emitted during a window
-  //    happens inside some executing event). Untraced runs
-  //    (trace_capacity == 0) skip the staging entirely.
-  for (std::uint32_t s = 0; traced() && s < n; ++s) {
+  //    happens inside some executing event).
+  for (std::uint32_t s = 0; s < n; ++s) {
     Shard& sh = *shards_[s];
     sh.window_trace_base = sh.journal.trace_drained;
     const std::uint64_t total = sh.tracer.emitted();
@@ -402,17 +402,15 @@ void ShardedEngine::merge_window(std::int64_t start_ns, std::int64_t end_ns) {
     sh.journal.trace_drained = total;
     sh.tracer.clear();
   }
-  if (traced()) {
-    for (const auto& [s, entry_index] : merge_order_) {
-      Shard& sh = *shards_[s];
-      const OrderingJournal::LogEntry& e = sh.journal.log()[entry_index];
-      assert(e.trace_begin >= sh.window_trace_base &&
-             e.trace_end - sh.window_trace_base <= sh.window_events.size());
-      for (std::uint64_t i = e.trace_begin; i < e.trace_end; ++i) {
-        // drs-lint: hotpath-purity-ok(output: the merged canonical trace is the engine's deliverable, the sharded analogue of the Tracer ring)
-        merged_.push_back(sh.window_events[static_cast<std::size_t>(
-            i - sh.window_trace_base)]);
-      }
+  for (const auto& [s, entry_index] : merge_order_) {
+    Shard& sh = *shards_[s];
+    const OrderingJournal::LogEntry& e = sh.journal.log()[entry_index];
+    assert(e.trace_begin >= sh.window_trace_base &&
+           e.trace_end - sh.window_trace_base <= sh.window_events.size());
+    for (std::uint64_t i = e.trace_begin; i < e.trace_end; ++i) {
+      // drs-lint: hotpath-purity-ok(output: the merged canonical trace is the engine's deliverable, the sharded analogue of the Tracer ring)
+      merged_.push_back(sh.window_events[static_cast<std::size_t>(
+          i - sh.window_trace_base)]);
     }
   }
 

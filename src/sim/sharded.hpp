@@ -31,6 +31,13 @@
 // with a fully resolved key (their parent executed at least one window
 // earlier) and interleave with the local queue through the same comparison.
 //
+// Only a trace consumes that global order, so only traced runs
+// (Options::trace_capacity > 0) pay for the journal and the merge. An
+// untraced run executes each shard's queue plainly, takes a same-time
+// foreign event before the local one, and leaves the order of cross-shard
+// offers to the merge hook's key. Its event counts and metric snapshots
+// equal the traced run's (tests/test_sharded_differential.cpp).
+//
 // Everything here is generic over "what crosses shards": the engine moves
 // opaque callbacks with (time, key) coordinates. The fleet's relay-hub
 // oracle (cluster/partition.*) decides what those callbacks do.
@@ -159,15 +166,6 @@ class OrderingJournal {
     return PushKey{log_[meta.parent].gseq, meta.idx};
   }
 
-  /// Ordering key of an executed window-log entry (valid once the merge has
-  /// assigned gseqs). A child meta's `parent` field indexes the log while
-  /// window_ref is set, so a boundary capture can recover the key of the
-  /// event that produced it.
-  PushKey entry_key(std::size_t entry) const {
-    const LogEntry& e = log_[entry];
-    return PushKey{e.window_ref ? log_[e.parent].gseq : e.parent, e.idx};
-  }
-
   std::vector<LogEntry>& log() { return log_; }
   const std::vector<LogEntry>& log() const { return log_; }
 
@@ -200,20 +198,6 @@ class OrderingJournal {
   std::uint64_t cur_child_idx_ = 0;
 };
 
-/// What the engine promises about a run's observable output.
-enum class Ordering {
-  /// Traces and metric snapshots byte-identical to the canonical single
-  /// queue at any shard count (the OrderingJournal + window-merge machinery;
-  /// the default).
-  kCertified,
-  /// Contract-equal fast lane: elides the journal, the k-way merge and all
-  /// trace bookkeeping. Guarantees only what the benches assert — event
-  /// counts, metric totals and invariant outcomes equal to kCertified's. No
-  /// merged trace is produced. For ceiling measurements and Monte-Carlo
-  /// campaigns that never read traces.
-  kCounterEqual,
-};
-
 /// S shards in conservative lockstep. See the file comment.
 class ShardedEngine {
  public:
@@ -222,17 +206,19 @@ class ShardedEngine {
     /// Window length floor = minimum cross-shard latency, in ns. For the
     /// fleet this is the relay backplane's propagation delay.
     std::int64_t lookahead_ns = 5000;
-    /// Per-shard tracer ring capacity. 0 skips tracer attachment entirely
-    /// (no per-shard rings, no merged trace), the configuration for
-    /// benchmarking. In traced runs each window's and each setup segment's
+    /// Per-shard tracer ring capacity; it also picks the execution path.
+    /// A traced run (> 0) attaches the OrderingJournal and merges every
+    /// window, so the merged trace is byte-identical to the canonical single
+    /// queue at any shard count. Each window's and each setup segment's
     /// emissions must fit one ring: the engine throws std::length_error
     /// naming the shard otherwise, rather than merge a trace with a hole.
+    /// An untraced run (0) has no rings, no journal and no merge: no output
+    /// consumes the global order, so shards order same-time cross-shard
+    /// traffic by the merge hook's own key (docs/SHARDING.md §3).
     std::size_t trace_capacity = obs::Tracer::kDefaultCapacity;
     /// Property-test hook: record window-containment violations and the
     /// minimum cross-shard arrival margin instead of trusting the proof.
     bool check_windows = false;
-    /// Output contract (see Ordering).
-    Ordering ordering = Ordering::kCertified;
     /// Adaptive earliest-output-time windows: widen each window to the
     /// announced bound on the next possible cross-shard hand-off (boundary-
     /// tagged events + inbox heads, refined by the EOT hook) instead of the
@@ -279,6 +265,8 @@ class ShardedEngine {
     return shards_[shard]->journal;
   }
   std::int64_t lookahead_ns() const { return options_.lookahead_ns; }
+  /// True when the run journals and merges (Options::trace_capacity > 0).
+  bool traced() const { return options_.trace_capacity > 0; }
 
   /// Qualified id of an event scheduled on `shard` (uniqueness across the
   /// whole engine; see GlobalEventId).
@@ -426,11 +414,6 @@ class ShardedEngine {
   void worker_loop(std::uint32_t shard);
   void start_workers();
   void stop_workers();
-  bool traced() const {
-    return options_.ordering == Ordering::kCertified &&
-           options_.trace_capacity > 0;
-  }
-  bool certified() const { return options_.ordering == Ordering::kCertified; }
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -55,7 +55,7 @@ struct NamedScenario {
   std::vector<net::ComponentIndex> failed;
 };
 
-// Mirrors the failure menagerie exercised by test_reactive_comparison and
+// Mirrors the failure menagerie exercised by test_policy_comparison and
 // bench_proactive_vs_reactive, at the comparison test's n=8 geometry.
 std::vector<NamedScenario> corpus() {
   constexpr std::uint16_t n = 8;

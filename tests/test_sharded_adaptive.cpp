@@ -1,27 +1,28 @@
-// The adaptive-lookahead (earliest-output-time) window protocol and the
-// counter-equal fast lane, tested where the differential corpus cannot see:
+// The adaptive-lookahead (earliest-output-time) window protocol and
+// untraced runs, tested where the differential corpus cannot see:
 //   - coalescing invariance: adaptive windows change ONLY the window count —
 //     the merged trace and semantic metrics are byte-identical to the
 //     fixed-lookahead protocol, while the window count shrinks >= 5x;
-//   - counter-equal contract: with the journal and merge elided, event
-//     counts, probe totals, semantic metric snapshots and invariant outcomes
-//     still equal the certified run at every shard count (and no merged
-//     trace is produced);
-//   - counter-equal refuses lossy relays (the loss RNG draw order is only
-//     certified under the journaled merge);
+//   - untraced runs on the paper's deployment shape: with the journal and
+//     merge elided, executed events, semantic metric snapshots and the
+//     pristine verdict equal the traced run's at 1 and 4 shards, under a
+//     seeded fault schedule (and no merged trace is produced);
+//   - the relay replay's tie-break at t = 0, where a relay failure follows
+//     the gateways' setup-pushed first ticks;
 //   - window spans: recorded spans tile the run (monotone, non-overlapping),
 //     account for every executed event, and export to Chrome trace format.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chaos/campaign.hpp"
+#include "chaos/schedule.hpp"
 #include "cluster/partition.hpp"
+#include "net/failure.hpp"
 #include "corpus_golden.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -74,14 +75,12 @@ void schedule_mixed_outages(cluster::ShardedFleet& fleet) {
   fleet.schedule_component_failure(at_ms(400), gateway1, false);
 }
 
-FleetRun run_fleet(std::uint32_t shards, sim::Ordering ordering,
-                   bool adaptive) {
+FleetRun run_fleet(std::uint32_t shards, bool adaptive) {
   cluster::ShardedFleetConfig config;
   config.fleet = fleet_config(4, 4);
   config.shards = shards;
   config.trace_capacity = std::size_t{1} << 16;
   config.check_windows = true;
-  config.ordering = ordering;
   config.adaptive_windows = adaptive;
   cluster::ShardedFleet fleet(config);
   fleet.start();
@@ -107,10 +106,8 @@ FleetRun run_fleet(std::uint32_t shards, sim::Ordering ordering,
 // -- coalescing invariance ----------------------------------------------------
 
 TEST(ShardedAdaptive, CoalescingChangesOnlyTheWindowCount) {
-  const FleetRun fixed =
-      run_fleet(4, sim::Ordering::kCertified, /*adaptive=*/false);
-  const FleetRun adaptive =
-      run_fleet(4, sim::Ordering::kCertified, /*adaptive=*/true);
+  const FleetRun fixed = run_fleet(4, /*adaptive=*/false);
+  const FleetRun adaptive = run_fleet(4, /*adaptive=*/true);
 
   // Identical observable output...
   EXPECT_EQ(fixed.trace_json, adaptive.trace_json);
@@ -163,48 +160,93 @@ TEST(ShardedAdaptive, MaxWindowCapBoundsWindowWidth) {
   EXPECT_GT(capped_windows, uncapped_windows);
 }
 
-// -- the counter-equal fast lane ---------------------------------------------
+// -- untraced runs -------------------------------------------------------------
 
-TEST(ShardedAdaptive, CounterEqualMatchesCertifiedTotals) {
-  // Reference: a certified 1-shard run of the same schedule. The fleet
-  // corpus golden (test_sharded_differential) ties certified runs to the
-  // frozen single-queue output, so counter-equal totals that match this run
-  // match that output too. Counter-equal runs produce no trace, so totals
-  // are the whole comparison surface.
-  const FleetRun certified =
-      run_fleet(1, sim::Ordering::kCertified, /*adaptive=*/true);
+TEST(ShardedAdaptive, UntracedMatchesTracedOnTheDeploymentShape) {
+  // The paper's deployment (27 clusters of 8, default daemon config) under
+  // the first seconds of a seed-1 40-action fault schedule over the fleet's
+  // flat component space. The traced 1-shard run is the reference: the
+  // fleet corpus golden (test_sharded_differential) ties traced runs to the
+  // frozen single-queue output.
+  constexpr std::uint16_t kClusters = 27;
+  constexpr std::uint16_t kNodes = 8;
+  const cluster::FleetComponents components(kClusters, kNodes);
+  chaos::ScheduleConfig schedule;
+  schedule.events = 40;
+  schedule.start = util::Duration::millis(400);
+  schedule.min_gap = util::Duration::millis(500);
+  schedule.max_jitter = util::Duration::millis(100);
+  const std::vector<net::FailureAction> actions =
+      chaos::generate_domain_schedule(1, 0, components.count(), schedule)
+          .actions;
 
-  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+  struct DeployRun {
+    std::uint64_t executed_events = 0;
+    bool pristine = false;
+    std::string semantic_metrics;
+  };
+  const auto run = [&](std::uint32_t shards, bool traced) {
     cluster::ShardedFleetConfig config;
-    config.fleet = fleet_config(4, 4);
+    config.fleet.clusters = kClusters;
+    config.fleet.nodes_per_cluster = kNodes;
     config.shards = shards;
-    config.ordering = sim::Ordering::kCounterEqual;
+    config.trace_capacity = traced ? std::size_t{1} << 16 : 0;
     config.check_windows = true;
     cluster::ShardedFleet fleet(config);
     fleet.start();
-    schedule_mixed_outages(fleet);
-    fleet.run_until(at_ms(600));
-
+    for (const net::FailureAction& action : actions) {
+      fleet.schedule_component_failure(action.at, action.component,
+                                       action.fail);
+    }
+    fleet.run_until(at_ms(3000));
     EXPECT_EQ(fleet.engine().window_violations(), 0u);
     EXPECT_GE(fleet.engine().min_foreign_margin_ns(), 0);
-    // The contract: counts and totals, not traces.
-    EXPECT_TRUE(fleet.merged_trace().empty());
-    EXPECT_EQ(fleet.engine().events_executed(), certified.executed_events);
-    EXPECT_EQ(fleet.total_probes_sent(), certified.probes_sent);
-    EXPECT_EQ(fleet.all_pristine(), certified.pristine);
+    EXPECT_EQ(fleet.merged_trace().empty(), !traced);
     obs::MetricRegistry registry;
     fleet.collect_metrics(registry);
-    EXPECT_EQ(semantic_only(registry.to_json()), certified.semantic_metrics);
+    return DeployRun{fleet.engine().events_executed(), fleet.all_pristine(),
+                     semantic_only(registry.to_json())};
+  };
+
+  const DeployRun reference = run(1, /*traced=*/true);
+  ASSERT_GT(reference.executed_events, 0u);
+  for (const std::uint32_t shards : {1u, 4u}) {
+    for (const bool traced : {true, false}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   (traced ? " traced" : " untraced"));
+      const DeployRun got = run(shards, traced);
+      EXPECT_EQ(got.executed_events, reference.executed_events);
+      EXPECT_EQ(got.pristine, reference.pristine);
+      EXPECT_EQ(got.semantic_metrics, reference.semantic_metrics);
+    }
   }
 }
 
-TEST(ShardedAdaptive, CounterEqualRefusesLossyRelay) {
-  cluster::ShardedFleetConfig config;
-  config.fleet = fleet_config(2, 4);
-  config.fleet.relay_backplane.frame_loss_rate = 0.01;
-  config.ordering = sim::Ordering::kCounterEqual;
-  EXPECT_THROW(cluster::ShardedFleet{config}, std::invalid_argument);
+TEST(ShardedAdaptive, RelayFailureAtTimeZeroFollowsTheFirstGatewayTicks) {
+  // The gateways' first ticks at t = 0 were pushed during setup, before any
+  // injection, so one queue transmits their echoes before a relay failure
+  // scheduled at t = 0 clears them from the stream: lost in flight, not
+  // dropped at the failed hub. Traced and untraced runs replay the same.
+  for (const std::uint32_t shards : {1u, 2u}) {
+    for (const bool traced : {true, false}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   (traced ? " traced" : " untraced"));
+      cluster::ShardedFleetConfig config;
+      config.fleet = fleet_config(4, 4);
+      config.shards = shards;
+      config.trace_capacity = traced ? std::size_t{1} << 16 : 0;
+      cluster::ShardedFleet fleet(config);
+      fleet.start();
+      const net::ComponentIndex relay =
+          fleet.components().relay_backplane_component();
+      fleet.schedule_component_failure(at_ms(0), relay, true);
+      fleet.schedule_component_failure(at_ms(300), relay, false);
+      fleet.run_until(at_ms(600));
+      obs::MetricRegistry registry;
+      fleet.collect_metrics(registry);
+      EXPECT_EQ(registry.counter("relay.lost_in_flight").value(), 4);
+    }
+  }
 }
 
 // -- window spans -------------------------------------------------------------

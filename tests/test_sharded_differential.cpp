@@ -1,9 +1,12 @@
 // Golden pin of the sharded fleet at every shard count.
 //
-// Every scenario runs on a cluster::ShardedFleet once per shard count in
-// {1, 2, 4, 8}, with identical configs and identical injection schedules.
-// Each run reduces to one line of tests/golden/fleet_corpus.txt, and every
-// run must reproduce it exactly. The file was frozen from a
+// Every scenario runs on a cluster::ShardedFleet twice per shard count in
+// {1, 2, 4, 8}, traced and untraced, with identical configs and identical
+// injection schedules. Each run reduces to one line of
+// tests/golden/fleet_corpus.txt. A traced run must reproduce its line
+// exactly; an untraced run (trace_capacity = 0: no journal, no window merge)
+// has no trace, so it must reproduce every field after the trace fields.
+// The file was frozen from a
 // single-simulator fleet (one queue holding every event, one tracer), so
 // the lines pin the sharded runs to that canonical order:
 //   - the protocol-trace event count and per-kind counts, and the FNV-1a-64
@@ -80,11 +83,12 @@ cluster::FleetConfig fleet_config(std::uint16_t clusters,
   return config;
 }
 
-std::string run_sharded(const Scenario& scenario, std::uint32_t shards) {
+std::string run_sharded(const Scenario& scenario, std::uint32_t shards,
+                        bool traced) {
   cluster::ShardedFleetConfig config;
   config.fleet = scenario.fleet;
   config.shards = shards;
-  config.trace_capacity = std::size_t{1} << 16;
+  config.trace_capacity = traced ? std::size_t{1} << 16 : 0;
   config.check_windows = true;
   cluster::ShardedFleet fleet(config);
   fleet.start();
@@ -103,15 +107,29 @@ std::string run_sharded(const Scenario& scenario, std::uint32_t shards) {
                      fleet.total_probes_sent(), fleet.all_pristine());
 }
 
+/// The fields after the trace fields: " metrics_fnv=... pristine=...".
+std::string untraced_fields(const std::string& line) {
+  const std::size_t at = line.find(" metrics_fnv=");
+  return at == std::string::npos ? line : line.substr(at);
+}
+
 void run_scenario(const Scenario& scenario) {
   SCOPED_TRACE(scenario.name);
+  std::string golden_line;
+  for (const auto& [label, text] : golden::read_lines(golden_path())) {
+    if (label == scenario.name) golden_line = text;
+  }
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    const std::string line = run_sharded(scenario, shards);
+    const std::string at = " @" + std::to_string(shards);
+    const std::string line = run_sharded(scenario, shards, /*traced=*/true);
     if (shards == 1 && golden::updating()) {
       golden::update_line(golden_path(), line);
+      golden_line = line;
     }
-    golden::expect_line(golden_path(), line,
-                        "ShardedFleet @" + std::to_string(shards));
+    golden::expect_line(golden_path(), line, "traced ShardedFleet" + at);
+    EXPECT_EQ(untraced_fields(run_sharded(scenario, shards, /*traced=*/false)),
+              untraced_fields(golden_line))
+        << "untraced ShardedFleet" << at << " drifted from " << golden_path();
   }
 }
 
